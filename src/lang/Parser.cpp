@@ -754,7 +754,19 @@ private:
   Expr::Ptr parsePrimaryExpr() {
     SourceLoc Loc = here();
     if (check(Token::Kind::Number)) {
-      Expr::Ptr E = Expr::makeNumber(Rational::fromString(advance().Text));
+      const std::string &Text = advance().Text;
+      std::optional<Rational> Value = Rational::parseLiteral(Text);
+      if (!Value) {
+        failAt(Loc, "number-out-of-range",
+               "number literal '" +
+                   (Text.size() > 24 ? Text.substr(0, 20) + "..." : Text) +
+                   "' is out of range (at most " +
+                   std::to_string(Rational::MaxLiteralDigits) +
+                   " digits and an exponent of magnitude at most " +
+                   std::to_string(Rational::MaxLiteralExponent) + ")");
+        return nullptr;
+      }
+      Expr::Ptr E = Expr::makeNumber(std::move(*Value));
       E->setLoc(Loc);
       return E;
     }

@@ -15,9 +15,15 @@ using namespace pmaf::poly;
 //===----------------------------------------------------------------------===//
 
 bool ConeRow::normalize() {
+  // Content gcd; once it reaches 1 the row is already primitive.
   BigInt Content;
-  for (const BigInt &C : Coeffs)
+  for (const BigInt &C : Coeffs) {
+    if (C.isZero())
+      continue;
     Content = BigInt::gcd(Content, C);
+    if (Content == BigInt(1))
+      break;
+  }
   if (Content.isZero())
     return false;
   if (Content != BigInt(1))
@@ -253,11 +259,15 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
         if (I == Pivot || S[I].isZero())
           continue;
         // g' = |s(L)| * g - sign(s(L)) * s(g) * L keeps conic orientation
-        // (the multiplier of g is positive) and achieves s(g') = 0.
+        // (the multiplier of g is positive) and achieves s(g') = 0. Both
+        // multipliers are divided by their gcd first: the normalized row is
+        // the same, and the products stay narrower.
         BigInt Mult = SignSL > 0 ? S[I] : S[I].negated();
+        BigInt G = BigInt::gcd(AbsSL, Mult);
+        BigInt GenMult = AbsSL.divExact(G), LineMult = Mult.divExact(G);
         for (size_t Col = 0; Col != Cols; ++Col)
-          Gens[I].Coeffs[Col] = AbsSL * Gens[I].Coeffs[Col] -
-                                Mult * Gens[Pivot].Coeffs[Col];
+          Gens[I].Coeffs[Col] = GenMult * Gens[I].Coeffs[Col] -
+                                LineMult * Gens[Pivot].Coeffs[Col];
         Gens[I].normalize();
       }
       if (Con->IsLinearity) {
@@ -328,12 +338,15 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
       for (size_t M : Minus) {
         if (!Adjacent(P, M))
           continue;
-        // s(P) * g_M - s(M) * g_P: a conic combination with s = 0.
+        // s(P) * g_M - s(M) * g_P: a conic combination with s = 0, with
+        // both multipliers divided by their (positive) gcd first.
+        BigInt G = BigInt::gcd(S[P], S[M]);
+        BigInt MultM = S[P].divExact(G), MultP = S[M].divExact(G);
         ConeRow Combo;
         Combo.Coeffs.resize(Cols);
         for (size_t Col = 0; Col != Cols; ++Col)
           Combo.Coeffs[Col] =
-              S[P] * Gens[M].Coeffs[Col] - S[M] * Gens[P].Coeffs[Col];
+              MultM * Gens[M].Coeffs[Col] - MultP * Gens[P].Coeffs[Col];
         if (Combo.normalize())
           Next.push_back(std::move(Combo));
       }

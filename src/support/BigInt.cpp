@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 using namespace pmaf;
 
@@ -214,9 +215,8 @@ BigInt BigInt::negated() const {
       return BigInt(-Small);
     return makeLarge(1, smallMag());
   }
-  BigInt Result = *this;
-  Result.LargeSign = -Result.LargeSign;
-  return Result;
+  // +2^63 is large but its negation is INT64_MIN; makeLarge demotes it.
+  return makeLarge(-LargeSign, Mag);
 }
 
 int BigInt::compare(const BigInt &Other) const {
@@ -245,7 +245,9 @@ BigInt BigInt::addSlow(const BigInt &A, const BigInt &B) {
     return B;
   if (SignB == 0)
     return A;
-  std::vector<uint32_t> MagA = A.magnitude(), MagB = B.magnitude();
+  std::vector<uint32_t> ScratchA, ScratchB;
+  const std::vector<uint32_t> &MagA = A.magnitude(ScratchA),
+                              &MagB = B.magnitude(ScratchB);
   if (SignA == SignB)
     return makeLarge(SignA, addMag(MagA, MagB));
   int MagCmp = compareMag(MagA, MagB);
@@ -278,7 +280,9 @@ BigInt BigInt::mulSlow(const BigInt &A, const BigInt &B) {
   int Sign = A.sign() * B.sign();
   if (Sign == 0)
     return BigInt();
-  return makeLarge(Sign, mulMag(A.magnitude(), B.magnitude()));
+  std::vector<uint32_t> ScratchA, ScratchB;
+  return makeLarge(Sign,
+                   mulMag(A.magnitude(ScratchA), B.magnitude(ScratchB)));
 }
 
 BigInt BigInt::operator*(const BigInt &Other) const {
@@ -307,7 +311,8 @@ BigInt BigInt::shiftLeft(unsigned Bits) const {
     return *this;
   if (IsSmall && Bits < 62 && bitLength() + Bits < 63)
     return BigInt(Small << Bits);
-  std::vector<uint32_t> Source = magnitude();
+  std::vector<uint32_t> Scratch;
+  const std::vector<uint32_t> &Source = magnitude(Scratch);
   unsigned LimbShift = Bits / 32, BitShift = Bits % 32;
   std::vector<uint32_t> Result(LimbShift, 0);
   uint32_t Carry = 0;
@@ -348,42 +353,118 @@ BigInt BigInt::shiftRight(unsigned Bits) const {
   return makeLarge(LargeSign, std::move(Result));
 }
 
+void BigInt::divmodMag(const std::vector<uint32_t> &U,
+                       const std::vector<uint32_t> &V,
+                       std::vector<uint32_t> &Q, std::vector<uint32_t> &R) {
+  assert(!V.empty() && V.back() != 0 && "divisor magnitude not trimmed");
+  if (compareMag(U, V) < 0) {
+    Q.clear();
+    R = U;
+    return;
+  }
+  const size_t N = V.size(), M = U.size() - N;
+  if (N == 1) {
+    // One-limb divisor: a single pass of short division.
+    const uint64_t D = V[0];
+    uint64_t Rem = 0;
+    Q.assign(U.size(), 0);
+    for (size_t I = U.size(); I-- > 0;) {
+      uint64_t Cur = (Rem << 32) | U[I];
+      Q[I] = static_cast<uint32_t>(Cur / D);
+      Rem = Cur % D;
+    }
+    trim(Q);
+    R.clear();
+    if (Rem)
+      R.push_back(static_cast<uint32_t>(Rem));
+    return;
+  }
+  // Knuth, TAOCP Vol. 2, 4.3.1, Algorithm D. D1: shift both operands left
+  // until the divisor's top limb has its high bit set, so each quotient-limb
+  // estimate below is at most two too large.
+  const unsigned S = static_cast<unsigned>(__builtin_clz(V.back()));
+  auto ShiftedLimb = [S](const std::vector<uint32_t> &X, size_t I) {
+    uint64_t Hi = I < X.size() ? static_cast<uint64_t>(X[I]) << S : 0;
+    uint64_t Lo = I > 0 ? static_cast<uint64_t>(X[I - 1]) >> (32 - S) : 0;
+    return static_cast<uint32_t>(Hi | Lo);
+  };
+  std::vector<uint32_t> Vn(N), Un(U.size() + 1);
+  for (size_t I = 0; I != N; ++I)
+    Vn[I] = ShiftedLimb(V, I);
+  for (size_t I = 0; I != Un.size(); ++I)
+    Un[I] = ShiftedLimb(U, I);
+  const uint64_t Base = 1ull << 32;
+  const uint64_t VTop = Vn[N - 1], VNext = Vn[N - 2];
+  Q.assign(M + 1, 0);
+  for (size_t J = M + 1; J-- > 0;) {
+    // D3: estimate the quotient limb from the top two remainder limbs and
+    // correct it with the divisor's second limb.
+    uint64_t Num = (static_cast<uint64_t>(Un[J + N]) << 32) | Un[J + N - 1];
+    uint64_t QHat = Num / VTop, RHat = Num % VTop;
+    while (QHat >= Base || QHat * VNext > ((RHat << 32) | Un[J + N - 2])) {
+      --QHat;
+      RHat += VTop;
+      if (RHat >= Base)
+        break;
+    }
+    // D4: multiply and subtract QHat * Vn from the current window.
+    uint64_t Carry = 0;
+    int64_t Borrow = 0;
+    for (size_t I = 0; I != N; ++I) {
+      uint64_t Product = QHat * Vn[I] + Carry;
+      Carry = Product >> 32;
+      int64_t Diff = static_cast<int64_t>(Un[I + J]) - Borrow -
+                     static_cast<int64_t>(Product & 0xffffffffu);
+      Un[I + J] = static_cast<uint32_t>(Diff);
+      Borrow = Diff < 0 ? 1 : 0;
+    }
+    int64_t Top = static_cast<int64_t>(Un[J + N]) - Borrow -
+                  static_cast<int64_t>(Carry);
+    Un[J + N] = static_cast<uint32_t>(Top);
+    if (Top < 0) {
+      // D6: the estimate was one too large; add the divisor back.
+      --QHat;
+      uint64_t AddCarry = 0;
+      for (size_t I = 0; I != N; ++I) {
+        uint64_t Sum = static_cast<uint64_t>(Un[I + J]) + Vn[I] + AddCarry;
+        Un[I + J] = static_cast<uint32_t>(Sum);
+        AddCarry = Sum >> 32;
+      }
+      Un[J + N] = static_cast<uint32_t>(Un[J + N] + AddCarry);
+    }
+    Q[J] = static_cast<uint32_t>(QHat);
+  }
+  trim(Q);
+  // D8: the remainder is the low N limbs of Un, shifted back.
+  R.assign(N, 0);
+  for (size_t I = 0; I != N; ++I) {
+    uint64_t Lo = static_cast<uint64_t>(Un[I]) >> S;
+    uint64_t Hi = static_cast<uint64_t>(Un[I + 1]) << (32 - S);
+    R[I] = static_cast<uint32_t>(Lo | Hi);
+  }
+  trim(R);
+}
+
 void BigInt::divmod(const BigInt &Divisor, BigInt &Quotient,
                     BigInt &Remainder) const {
   assert(!Divisor.isZero() && "division by zero");
   if (IsSmall && Divisor.IsSmall &&
       !(Small == INT64_MIN && Divisor.Small == -1)) {
-    Quotient = BigInt(Small / Divisor.Small);
-    Remainder = BigInt(Small % Divisor.Small);
+    // Both computed before either is assigned: Quotient or Remainder may
+    // alias *this or Divisor.
+    int64_t Quot = Small / Divisor.Small, Rem = Small % Divisor.Small;
+    Quotient = BigInt(Quot);
+    Remainder = BigInt(Rem);
     return;
   }
-  // Shift-subtract long division on magnitudes; O(bits * limbs) is
-  // acceptable at the coefficient sizes this library encounters.
-  BigInt AbsDividend = abs(), AbsDivisor = Divisor.abs();
-  if (AbsDividend.compare(AbsDivisor) < 0) {
-    Quotient = BigInt();
-    Remainder = *this;
-    return;
-  }
-  unsigned Shift = AbsDividend.bitLength() - AbsDivisor.bitLength();
-  BigInt Shifted = AbsDivisor.shiftLeft(Shift);
-  BigInt Quot, Rem = AbsDividend;
-  for (unsigned I = 0; I <= Shift; ++I) {
-    Quot = Quot.shiftLeft(1);
-    if (Rem.compare(Shifted) >= 0) {
-      Rem = Rem - Shifted;
-      Quot = Quot + BigInt(1);
-    }
-    Shifted = Shifted.shiftRight(1);
-  }
-  // Truncated semantics: quotient sign is the product of operand signs; the
-  // remainder takes the dividend's sign.
-  if (sign() * Divisor.sign() < 0)
-    Quot = Quot.negated();
-  if (sign() < 0)
-    Rem = Rem.negated();
-  Quotient = Quot;
-  Remainder = Rem;
+  // Truncated semantics: the quotient's sign is the product of the operand
+  // signs; the remainder takes the dividend's sign.
+  int QuotSign = sign() * Divisor.sign(), RemSign = sign();
+  std::vector<uint32_t> ScratchA, ScratchB, QuotMag, RemMag;
+  divmodMag(magnitude(ScratchA), Divisor.magnitude(ScratchB), QuotMag,
+            RemMag);
+  Quotient = makeLarge(QuotSign, std::move(QuotMag));
+  Remainder = makeLarge(RemSign, std::move(RemMag));
 }
 
 BigInt BigInt::divExact(const BigInt &Divisor) const {
@@ -405,40 +486,31 @@ BigInt BigInt::operator%(const BigInt &Other) const {
   return Remainder;
 }
 
+/// Euclid's algorithm on machine words.
+static uint64_t gcdWords(uint64_t U, uint64_t W) {
+  while (W != 0) {
+    uint64_t T = U % W;
+    U = W;
+    W = T;
+  }
+  return U;
+}
+
 BigInt BigInt::gcd(const BigInt &A, const BigInt &B) {
-  if (A.IsSmall && B.IsSmall && A.Small != INT64_MIN &&
-      B.Small != INT64_MIN) {
-    uint64_t X = absOfInt64(A.Small), Y = absOfInt64(B.Small);
-    while (Y != 0) {
-      uint64_t T = X % Y;
-      X = Y;
-      Y = T;
-    }
-    return BigInt(static_cast<int64_t>(X));
-  }
-  // Binary GCD on the general representation: shifts, comparisons, and
-  // subtraction only.
+  // |INT64_MIN| does not fit in int64_t, so it takes the limb-wise path.
+  if (A.IsSmall && B.IsSmall && A.Small != INT64_MIN && B.Small != INT64_MIN)
+    return BigInt(static_cast<int64_t>(
+        gcdWords(absOfInt64(A.Small), absOfInt64(B.Small))));
+  // Euclid on the limb-wise divmod until both operands fit in int64_t.
   BigInt X = A.abs(), Y = B.abs();
-  if (X.isZero())
-    return Y;
-  if (Y.isZero())
-    return X;
-  unsigned Twos = 0;
-  while (X.isEven() && Y.isEven()) {
-    X = X.shiftRight(1);
-    Y = Y.shiftRight(1);
-    ++Twos;
+  while (!X.IsSmall || !Y.IsSmall) {
+    if (Y.isZero())
+      return X;
+    X = X % Y;
+    std::swap(X, Y);
   }
-  while (X.isEven())
-    X = X.shiftRight(1);
-  while (!Y.isZero()) {
-    while (Y.isEven())
-      Y = Y.shiftRight(1);
-    if (X.compare(Y) > 0)
-      std::swap(X, Y);
-    Y = Y - X;
-  }
-  return X.shiftLeft(Twos);
+  return BigInt(static_cast<int64_t>(gcdWords(
+      static_cast<uint64_t>(X.Small), static_cast<uint64_t>(Y.Small))));
 }
 
 BigInt BigInt::lcm(const BigInt &A, const BigInt &B) {

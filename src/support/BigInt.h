@@ -11,8 +11,10 @@
 ///
 /// Values that fit in an int64_t are stored inline (no allocation) and use
 /// overflow-checked machine arithmetic; only results that overflow spill
-/// into a limb vector. The polyhedra kernels spend almost all of their time
-/// on single-digit coefficients, so the small path dominates.
+/// into a vector of 32-bit limbs. On that slow path division is Knuth's
+/// Algorithm D (one pass of short division for one-limb divisors) and gcd
+/// is Euclid's algorithm on it, dropping to the machine-word loop as soon
+/// as both operands fit in int64_t.
 ///
 /// Invariant: a value is in the small representation if and only if it fits
 /// in int64_t, so representations are canonical and comparisons cheap.
@@ -127,9 +129,14 @@ private:
   /// Magnitude limbs of a small value (little-endian, <= 2 limbs).
   std::vector<uint32_t> smallMag() const;
 
-  /// Magnitude limbs (works for both representations).
-  std::vector<uint32_t> magnitude() const {
-    return IsSmall ? smallMag() : Mag;
+  /// Magnitude limbs without copying a large value's: returns Mag, or
+  /// writes a small value's limbs into \p Scratch and returns that.
+  const std::vector<uint32_t> &
+  magnitude(std::vector<uint32_t> &Scratch) const {
+    if (!IsSmall)
+      return Mag;
+    Scratch = smallMag();
+    return Scratch;
   }
 
   static int compareMag(const std::vector<uint32_t> &A,
@@ -141,6 +148,11 @@ private:
                                       const std::vector<uint32_t> &B);
   static std::vector<uint32_t> mulMag(const std::vector<uint32_t> &A,
                                       const std::vector<uint32_t> &B);
+  /// Quotient and remainder of magnitudes (Knuth's Algorithm D on 32-bit
+  /// limbs). Requires a nonzero, trimmed \p V.
+  static void divmodMag(const std::vector<uint32_t> &U,
+                        const std::vector<uint32_t> &V,
+                        std::vector<uint32_t> &Q, std::vector<uint32_t> &R);
   static void trim(std::vector<uint32_t> &Mag);
 
   /// Slow-path arithmetic on mixed/large operands.

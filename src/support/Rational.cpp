@@ -28,19 +28,35 @@ void Rational::normalize() {
   }
 }
 
-Rational Rational::fromString(const std::string &Text) {
+std::optional<Rational> Rational::parseLiteral(const std::string &Text) {
   assert(!Text.empty() && "empty rational literal");
   // Forms: [-]int, [-]int/int, [-]int[.frac][e[+-]exp]
+  size_t E = Text.find_first_of("eE");
+  std::string Mantissa = Text.substr(0, E);
+  size_t NumDigits = 0;
+  for (char C : Mantissa)
+    NumDigits += C >= '0' && C <= '9';
+  if (NumDigits > MaxLiteralDigits)
+    return std::nullopt;
   size_t Slash = Text.find('/');
   if (Slash != std::string::npos)
     return Rational(BigInt::fromString(Text.substr(0, Slash)),
                     BigInt::fromString(Text.substr(Slash + 1)));
-  size_t E = Text.find_first_of("eE");
   int64_t Exp10 = 0;
-  std::string Mantissa = Text;
   if (E != std::string::npos) {
-    Exp10 = std::stoll(Text.substr(E + 1));
-    Mantissa = Text.substr(0, E);
+    size_t I = E + 1;
+    bool NegativeExp = I < Text.size() && Text[I] == '-';
+    if (I < Text.size() && (Text[I] == '-' || Text[I] == '+'))
+      ++I;
+    assert(I < Text.size() && "exponent without digits");
+    for (; I != Text.size(); ++I) {
+      assert(Text[I] >= '0' && Text[I] <= '9' && "bad digit in exponent");
+      Exp10 = Exp10 * 10 + (Text[I] - '0');
+      if (Exp10 > MaxLiteralExponent)
+        return std::nullopt;
+    }
+    if (NegativeExp)
+      Exp10 = -Exp10;
   }
   size_t Dot = Mantissa.find('.');
   std::string Digits = Mantissa;
@@ -58,6 +74,10 @@ Rational Rational::fromString(const std::string &Text) {
   for (int64_t I = 0; I > Exp10; --I)
     Denominator *= Ten;
   return Rational(Numerator, Denominator);
+}
+
+Rational Rational::fromString(const std::string &Text) {
+  return parseLiteral(Text).value();
 }
 
 Rational Rational::operator+(const Rational &Other) const {

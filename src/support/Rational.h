@@ -17,6 +17,7 @@
 
 #include "support/BigInt.h"
 
+#include <optional>
 #include <string>
 
 namespace pmaf {
@@ -37,8 +38,20 @@ public:
   Rational(int64_t Numerator, int64_t Denominator)
       : Rational(BigInt(Numerator), BigInt(Denominator)) {}
 
+  /// Bounds on a literal parseLiteral accepts: the number of digits, and
+  /// the magnitude of the written decimal exponent. Expanding a larger
+  /// literal into exact integers would take unbounded time and memory.
+  static constexpr size_t MaxLiteralDigits = 1000;
+  static constexpr int64_t MaxLiteralExponent = 1000;
+
   /// Parses "123", "-4/5", or a decimal like "0.75" / "-1.25e-2" exactly.
-  /// Asserts on malformed input; intended for trusted literals.
+  /// \returns std::nullopt if the literal exceeds MaxLiteralDigits or
+  /// MaxLiteralExponent. Asserts on malformed input; the lexer guarantees
+  /// the syntax.
+  static std::optional<Rational> parseLiteral(const std::string &Text);
+
+  /// parseLiteral for trusted literals; throws std::bad_optional_access if
+  /// \p Text is out of range.
   static Rational fromString(const std::string &Text);
 
   const BigInt &numerator() const { return Num; }

@@ -125,6 +125,11 @@ TEST(LintFixtureTest, ParseError) {
                      {{"parse-error", 4, 5, Severity::Error}});
 }
 
+TEST(LintFixtureTest, HugeLiteral) {
+  expectFixtureDiags("huge_literal.pp",
+                     {{"number-out-of-range", 4, 8, Severity::Error}});
+}
+
 TEST(LintFixtureTest, SignedVarDomainNeutral) {
   // Without a target domain only the degenerate choice is reported.
   expectFixtureDiags("signed_var.pp",
@@ -244,6 +249,30 @@ TEST(LintTest, ProgrammaticAstOutOfRangeIndices) {
   ASSERT_EQ(Diags.diagnostics().size(), 2u) << Diags.renderAll();
   EXPECT_EQ(Diags.diagnostics()[0].Code, "undefined-variable");
   EXPECT_EQ(Diags.diagnostics()[1].Code, "undefined-procedure");
+}
+
+TEST(LintTest, NumberLiteralBounds) {
+  auto CodesOf = [](const std::string &Literal) {
+    DiagnosticEngine Diags;
+    checkSource("real x;\nproc main() { x := " + Literal + "; }\n", Diags);
+    std::vector<std::string> Codes;
+    for (const Diagnostic &D : Diags.diagnostics())
+      Codes.push_back(D.Code);
+    return Codes;
+  };
+  using Codes = std::vector<std::string>;
+  const Codes OutOfRange = {"number-out-of-range"};
+  // Exponent and digit count at the bounds are accepted ...
+  EXPECT_EQ(CodesOf("1e1000"), Codes{});
+  EXPECT_EQ(CodesOf("1e-1000"), Codes{});
+  EXPECT_EQ(CodesOf("0." + std::string(999, '1')), Codes{});
+  // ... and one past them is a located diagnostic, not a throw or a hang.
+  EXPECT_EQ(CodesOf("1e1001"), OutOfRange);
+  EXPECT_EQ(CodesOf("1e-1001"), OutOfRange);
+  EXPECT_EQ(CodesOf("1e200000"), OutOfRange);
+  EXPECT_EQ(CodesOf("1e99999999999999999999"), OutOfRange);
+  EXPECT_EQ(CodesOf(std::string(1001, '7')), OutOfRange);
+  EXPECT_EQ(CodesOf("0." + std::string(1000, '1')), OutOfRange);
 }
 
 TEST(LintTest, WerrorPromotesWarnings) {

@@ -486,6 +486,33 @@ TEST(DaemonTest, StableErrorCodes) {
   D.wait();
 }
 
+TEST(DaemonTest, OversizedLiteralLoadKeepsTheDaemonServing) {
+  server::Daemon D;
+  std::string Error;
+  ASSERT_TRUE(D.start(Error)) << Error;
+  {
+    TestClient C(D.port());
+    server::Json Bad = C.request(
+        R"({"cmd":"load","source":"real x; proc main() { x := 1e99999999999999999999; }"})");
+    EXPECT_FALSE(Bad.get("ok") && Bad.get("ok")->asBool());
+    EXPECT_EQ(fieldString(Bad, "code"), "parse-error");
+    EXPECT_NE(Bad.dump().find("number-out-of-range"), std::string::npos)
+        << Bad.dump();
+    server::Json Load = C.request(
+        R"({"cmd":"load","source":"bool x; proc main() { x ~ bernoulli(1/2); }"})");
+    EXPECT_TRUE(Load.get("ok") && Load.get("ok")->asBool()) << Load.dump();
+    server::Json Analyze = C.request(R"({"cmd":"analyze"})");
+    EXPECT_TRUE(Analyze.get("ok") && Analyze.get("ok")->asBool())
+        << Analyze.dump();
+  }
+  // A second connection reaches the same daemon.
+  TestClient Again(D.port());
+  server::Json Stats = Again.request(R"({"cmd":"stats"})");
+  EXPECT_TRUE(Stats.get("ok") && Stats.get("ok")->asBool()) << Stats.dump();
+  D.requestStop();
+  D.wait();
+}
+
 TEST(DaemonTest, ConcurrentClientsOnDistinctSessions) {
   server::Daemon D;
   std::string Error;

@@ -2,11 +2,13 @@
 //
 // Property-based stress suites, parameterized over problem size:
 //
-//  * BigInt arithmetic against a __int128 oracle (small widths) and
-//    against ring identities (large widths);
+//  * BigInt arithmetic against a __int128 oracle (small widths), against
+//    ring identities (large widths), and division and gcd against a
+//    bit-serial reference at every width up to 512 bits;
 //  * the polyhedra library's double-description invariants across
 //    dimensions (every generator satisfies every constraint, round-trips,
-//    lattice monotonicity, projection idempotence, widening coverage);
+//    lattice monotonicity, projection idempotence, widening coverage), on
+//    small coefficients and on 40- to 120-bit ones;
 //  * Bourdoncle's WTO on random graphs: the computed widening points cut
 //    every cycle (the property §4.4 needs), and the order covers every
 //    vertex exactly once.
@@ -19,6 +21,8 @@
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 using namespace pmaf;
 using namespace pmaf::poly;
@@ -105,6 +109,187 @@ INSTANTIATE_TEST_SUITE_P(Widths, BigIntPropertyTest,
                                            128u, 256u));
 
 //===----------------------------------------------------------------------===//
+// BigInt division and gcd against a bit-serial reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Reference truncated division: shift-subtract long division, one quotient
+/// bit per step, on public BigInt operations only.
+void referenceDivmod(const BigInt &A, const BigInt &B, BigInt &Q,
+                     BigInt &Rem) {
+  BigInt AbsA = A.abs(), AbsB = B.abs();
+  if (AbsA < AbsB) {
+    Q = BigInt();
+    Rem = A;
+    return;
+  }
+  unsigned Shift = AbsA.bitLength() - AbsB.bitLength();
+  BigInt Shifted = AbsB.shiftLeft(Shift);
+  BigInt Quot, Left = AbsA;
+  for (unsigned I = 0; I <= Shift; ++I) {
+    Quot = Quot.shiftLeft(1);
+    if (Left >= Shifted) {
+      Left = Left - Shifted;
+      Quot = Quot + BigInt(1);
+    }
+    Shifted = Shifted.shiftRight(1);
+  }
+  Q = A.sign() * B.sign() < 0 ? Quot.negated() : Quot;
+  Rem = A.sign() < 0 ? Left.negated() : Left;
+}
+
+/// Reference gcd: the binary (Stein) algorithm.
+BigInt referenceGcd(const BigInt &A, const BigInt &B) {
+  BigInt X = A.abs(), Y = B.abs();
+  if (X.isZero())
+    return Y;
+  if (Y.isZero())
+    return X;
+  unsigned Twos = 0;
+  while (X.isEven() && Y.isEven()) {
+    X = X.shiftRight(1);
+    Y = Y.shiftRight(1);
+    ++Twos;
+  }
+  while (X.isEven())
+    X = X.shiftRight(1);
+  while (!Y.isZero()) {
+    while (Y.isEven())
+      Y = Y.shiftRight(1);
+    if (X > Y)
+      std::swap(X, Y);
+    Y = Y - X;
+  }
+  return X.shiftLeft(Twos);
+}
+
+/// Checks divmod, /, %, divExact and gcd on (A, B) against the references,
+/// and that the gcd is maximal.
+void expectMatchesReference(const BigInt &A, const BigInt &B) {
+  auto Operands = [&] { return A.toString() + ", " + B.toString(); };
+  BigInt G = BigInt::gcd(A, B);
+  EXPECT_EQ(G, referenceGcd(A, B)) << "gcd(" << Operands() << ")";
+  if (!G.isZero()) {
+    EXPECT_EQ(BigInt::gcd(A.divExact(G), B.divExact(G)), BigInt(1))
+        << "gcd(" << Operands() << ") is not maximal";
+  }
+  if (B.isZero())
+    return;
+  BigInt Q, Rem, RefQ, RefRem;
+  A.divmod(B, Q, Rem);
+  referenceDivmod(A, B, RefQ, RefRem);
+  EXPECT_EQ(Q, RefQ) << "divmod(" << Operands() << ")";
+  EXPECT_EQ(Rem, RefRem) << "divmod(" << Operands() << ")";
+  EXPECT_EQ(A / B, RefQ) << Operands();
+  EXPECT_EQ(A % B, RefRem) << Operands();
+  EXPECT_EQ((A - RefRem).divExact(B), RefQ) << Operands();
+}
+
+/// Builds a nonnegative value from little-endian 32-bit limbs.
+BigInt fromLimbs(const std::vector<uint32_t> &Limbs) {
+  BigInt Value;
+  for (size_t I = Limbs.size(); I-- > 0;)
+    Value = Value.shiftLeft(32) + BigInt(static_cast<int64_t>(Limbs[I]));
+  return Value;
+}
+
+} // namespace
+
+class BigIntReferenceTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BigIntReferenceTest, DivisionAndGcdMatchBitSerialReference) {
+  const unsigned DividendBits = GetParam();
+  Rng R(DividendBits * 6151);
+  for (unsigned DivisorBits :
+       {8u, 31u, 32u, 33u, 63u, 64u, 65u, 96u, 128u, 129u, 256u, 512u})
+    for (int Round = 0; Round != 3; ++Round) {
+      BigInt A = randomBigInt(R, DividendBits).abs();
+      BigInt B = randomBigInt(R, DivisorBits).abs();
+      for (int Signs = 0; Signs != 4; ++Signs)
+        expectMatchesReference(Signs & 1 ? A.negated() : A,
+                               Signs & 2 ? B.negated() : B);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BigIntReferenceTest,
+                         ::testing::Values(8u, 31u, 32u, 33u, 63u, 64u, 65u,
+                                           96u, 128u, 129u, 256u, 512u));
+
+TEST(BigIntReferenceEdgeTest, Int64MinAndWordBoundaries) {
+  const BigInt Min(INT64_MIN), Max(INT64_MAX);
+  const BigInt TwoTo64 = BigInt(1).shiftLeft(64);
+  std::vector<BigInt> Values = {BigInt(0),     BigInt(1),     BigInt(-1),
+                                BigInt(2),     BigInt(3),     BigInt(-7),
+                                Min,           Min + BigInt(1), Max,
+                                Min.negated(), TwoTo64 - BigInt(1),
+                                TwoTo64,       TwoTo64.negated(),
+                                Min * BigInt(3), Min * Min};
+  for (const BigInt &A : Values)
+    for (const BigInt &B : Values)
+      expectMatchesReference(A, B);
+  EXPECT_EQ(Min / BigInt(-1), Min.negated());
+  EXPECT_EQ(BigInt::gcd(Min, Min), Min.negated());
+  EXPECT_EQ(BigInt::gcd(Min, BigInt(0)), Min.negated());
+}
+
+TEST(BigIntReferenceEdgeTest, DivmodOutputsMayAliasInputs) {
+  for (const BigInt &Dividend :
+       {BigInt(17), BigInt(-17), BigInt(17).shiftLeft(100)}) {
+    BigInt ExpectQ, ExpectRem;
+    referenceDivmod(Dividend, BigInt(5), ExpectQ, ExpectRem);
+    BigInt X = Dividend, Rem;
+    X.divmod(BigInt(5), X, Rem);
+    EXPECT_EQ(X, ExpectQ) << Dividend.toString();
+    EXPECT_EQ(Rem, ExpectRem) << Dividend.toString();
+  }
+}
+
+TEST(BigIntReferenceEdgeTest, AlgorithmDCorrectionAndAddBack) {
+  // Operand patterns that drive the quotient-digit estimate to its limits:
+  // a divisor top limb of exactly 0x80000000 (no normalization shift) and
+  // dividend limbs of 0xffffffff maximize the estimate's error, forcing the
+  // q-hat correction loop and the rare add-back step.
+  const std::vector<std::vector<uint32_t>> Pairs[] = {
+      {{0x00000000u, 0x00000000u, 0x80000000u, 0x7fffffffu},
+       {0x00000001u, 0x00000000u, 0x80000000u}},
+      {{0x00000003u, 0x00000000u, 0x80000000u},
+       {0x00000001u, 0x00000000u, 0x20000000u}},
+      {{0x00000003u, 0x00000000u, 0x00008000u},
+       {0x00000001u, 0x00000000u, 0x00002000u}},
+      {{0x00000000u, 0xfffffffeu, 0x00000000u, 0x80000000u},
+       {0x0000ffffu, 0x00000000u, 0x80000000u}},
+      {{0x00000000u, 0xfffffffeu, 0x00000000u, 0x80000000u},
+       {0xffffffffu, 0x00000000u, 0x80000000u}},
+      {{0xffffffffu, 0xffffffffu, 0xffffffffu, 0xffffffffu},
+       {0xffffffffu, 0x80000000u}},
+  };
+  for (const auto &Pair : Pairs)
+    expectMatchesReference(fromLimbs(Pair[0]), fromLimbs(Pair[1]));
+
+  const uint32_t DividendLimbs[] = {0u, 1u, 0x80000000u, 0xffffffffu};
+  const uint32_t DivisorLow[] = {0u, 1u, 0x7fffffffu, 0xffffffffu};
+  std::vector<BigInt> Divisors;
+  for (uint32_t Low : DivisorLow)
+    for (uint32_t Top : {0x80000000u, 0xffffffffu})
+      Divisors.push_back(fromLimbs({Low, Top}));
+  for (uint32_t Low : {0u, 0xffffffffu})
+    for (uint32_t Mid : {0u, 0xffffffffu})
+      Divisors.push_back(fromLimbs({Low, Mid, 0x80000000u}));
+  for (unsigned Len : {3u, 4u}) {
+    unsigned Count = 1u << (2 * Len);
+    for (unsigned Code = 0; Code != Count; ++Code) {
+      std::vector<uint32_t> Limbs(Len);
+      for (unsigned I = 0; I != Len; ++I)
+        Limbs[I] = DividendLimbs[(Code >> (2 * I)) & 3];
+      BigInt A = fromLimbs(Limbs);
+      for (const BigInt &B : Divisors)
+        expectMatchesReference(A, B);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Polyhedra sweeps
 //===----------------------------------------------------------------------===//
 
@@ -112,7 +297,18 @@ class PolyhedronPropertyTest : public ::testing::TestWithParam<unsigned> {};
 
 namespace {
 
-Polyhedron randomPolyhedron(Rng &R, unsigned Dim, unsigned NumCons) {
+/// A random factor of 40 to 120 bits.
+BigInt wideFactor(Rng &R) {
+  return randomBigInt(R, 40 + static_cast<unsigned>(R.below(81))).abs() +
+         BigInt(1).shiftLeft(39);
+}
+
+/// A bounded random polyhedron. With \p Wide, every random halfspace has
+/// its coefficients c scaled to F * c + d, for one 40- to 120-bit factor F
+/// per row and small offsets d: primitive rows as wide as the ones
+/// roundedCoefficients(40) leaves in expectation polyhedra.
+Polyhedron randomPolyhedron(Rng &R, unsigned Dim, unsigned NumCons,
+                            bool Wide = false) {
   std::vector<Constraint> Cons;
   // Keep a bounding box so most instances are nonempty polytopes, then
   // add random halfspaces.
@@ -127,6 +323,16 @@ Polyhedron randomPolyhedron(Rng &R, unsigned Dim, unsigned NumCons) {
     E.constantTerm() = Rational(static_cast<int64_t>(R.below(9)) - 4);
     for (unsigned V = 0; V != Dim; ++V)
       E.coeff(V) = Rational(static_cast<int64_t>(R.below(5)) - 2);
+    if (Wide) {
+      BigInt Factor = wideFactor(R);
+      auto Widen = [&](Rational &C) {
+        BigInt Offset(static_cast<int64_t>(R.below(5)) - 2);
+        C = Rational(Factor * C.numerator() + Offset, BigInt(1));
+      };
+      Widen(E.constantTerm());
+      for (unsigned V = 0; V != Dim; ++V)
+        Widen(E.coeff(V));
+    }
     Cons.push_back(Constraint{std::move(E), R.below(5) == 0
                                                 ? Constraint::Kind::Eq
                                                 : Constraint::Kind::Ge});
@@ -188,6 +394,44 @@ TEST_P(PolyhedronPropertyTest, LatticeAndProjectionSweep) {
       EXPECT_TRUE(W.contains(A));
       EXPECT_TRUE(W.contains(J));
     }
+  }
+}
+
+TEST_P(PolyhedronPropertyTest, WideCoefficientDoubleDescription) {
+  unsigned Dim = GetParam();
+  Rng R(Dim * 7001);
+  unsigned WideRows = 0;
+  for (int Round = 0; Round != 12; ++Round) {
+    Polyhedron P = randomPolyhedron(R, Dim, Dim + 2, /*Wide=*/true);
+    if (P.isEmpty())
+      continue;
+    for (const ConeRow &Con : P.constraints())
+      for (const BigInt &C : Con.Coeffs)
+        if (C.bitLength() > 40) {
+          ++WideRows;
+          break;
+        }
+    expectDdConsistent(P);
+    Polyhedron Q = Polyhedron::fromConstraints(Dim, P.constraintList());
+    EXPECT_TRUE(P.equals(Q));
+  }
+  // The sweep must reach the multi-limb rows it exists for.
+  EXPECT_GT(WideRows, 0u);
+}
+
+TEST_P(PolyhedronPropertyTest, WideCoefficientLatticeSweep) {
+  unsigned Dim = GetParam();
+  Rng R(Dim * 9973);
+  for (int Round = 0; Round != 5; ++Round) {
+    Polyhedron A = randomPolyhedron(R, Dim, Dim + 1, /*Wide=*/true);
+    Polyhedron B = randomPolyhedron(R, Dim, Dim + 1, /*Wide=*/true);
+    Polyhedron M = A.meet(B), J = A.join(B);
+    EXPECT_TRUE(A.contains(M));
+    EXPECT_TRUE(B.contains(M));
+    EXPECT_TRUE(J.contains(A));
+    EXPECT_TRUE(J.contains(B));
+    expectDdConsistent(M);
+    expectDdConsistent(J);
   }
 }
 
