@@ -30,6 +30,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pmaf {
@@ -83,6 +84,21 @@ struct BenchRecord {
   unsigned PeakGeneratorRows = 0;
   unsigned MaxPackWidth = 0;
 };
+
+/// A BenchRecord of one analysis's solver counters; \p Stats is a
+/// core::SolverStats. The numeric-layer fields stay unset.
+template <typename StatsT>
+BenchRecord solverRecord(std::string Name, double Seconds,
+                         const StatsT &Stats) {
+  BenchRecord R;
+  R.Name = std::move(Name);
+  R.Seconds = Seconds;
+  R.NodeUpdates = Stats.NodeUpdates;
+  R.Widenings = Stats.WideningApplications;
+  R.InterpretCalls = Stats.InterpretCalls;
+  R.InterpretCacheHits = Stats.InterpretCacheHits;
+  return R;
+}
 
 /// Removes `--json=<path>` from argv (so google-benchmark never sees it)
 /// and returns the path, or "" when absent.

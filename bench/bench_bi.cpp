@@ -127,9 +127,7 @@ int main(int argc, char **argv) {
     std::printf("%-12s %5u %4c %6u %9.4f  %10.6f  %s\n", R.Name.c_str(),
                 R.Loc, R.Rec, R.Calls, R.Seconds, R.PosteriorMass,
                 R.CrossCheck.c_str());
-    Json.add({R.Name, R.Seconds, R.Stats.NodeUpdates,
-              R.Stats.WideningApplications, R.Stats.InterpretCalls,
-              R.Stats.InterpretCacheHits});
+    Json.add(bench::solverRecord(R.Name, R.Seconds, R.Stats));
   }
   bench::printRule(78);
   std::printf("\n");

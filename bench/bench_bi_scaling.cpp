@@ -33,11 +33,16 @@ namespace {
 /// embedded in a growing state space).
 std::string chainProgram(unsigned N) {
   std::string Decls = "bool";
-  for (unsigned I = 0; I != N; ++I)
-    Decls += std::string(I ? ", " : " ") + "v" + std::to_string(I);
+  for (unsigned I = 0; I != N; ++I) {
+    Decls += I ? ", v" : " v";
+    Decls += std::to_string(I);
+  }
   std::string Body;
-  for (unsigned I = 0; I != N; ++I)
-    Body += "v" + std::to_string(I) + " ~ bernoulli(0.5);\n";
+  for (unsigned I = 0; I != N; ++I) {
+    Body += "v";
+    Body += std::to_string(I);
+    Body += " ~ bernoulli(0.5);\n";
+  }
   Body += "while (!v0 && !v1) {\n"
           "  v0 ~ bernoulli(0.5);\n"
           "  v1 ~ bernoulli(0.5);\n"

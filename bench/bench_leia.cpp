@@ -113,11 +113,8 @@ int runTable(const std::string &JsonPath) {
           analyzeOnce<NumV>(Graph, *Prog);
       double Seconds =
           bench::timedTrimmedMean([&] { analyzeOnce<NumV>(Graph, *Prog); });
-      bench::BenchRecord Record{Bench.Name, Seconds,
-                                Result.Stats.NodeUpdates,
-                                Result.Stats.WideningApplications,
-                                Result.Stats.InterpretCalls,
-                                Result.Stats.InterpretCacheHits};
+      bench::BenchRecord Record =
+          bench::solverRecord(Bench.Name, Seconds, Result.Stats);
       Record.NumericBackend = toString(BenchNumeric);
       Record.ChernikovaCalls = Result.Stats.Numeric.MinimizationCalls;
       Record.ConversionCacheHits = Result.Stats.Numeric.ConversionCacheHits;

@@ -146,10 +146,7 @@ void printRow(const char *Family, const char *Name, const ScalingRow &Row,
     char RecordName[128];
     std::snprintf(RecordName, sizeof(RecordName), "%s/%s/jobs=%u", Family,
                   Name, JobCounts[J]);
-    Json.add({RecordName, Row.Seconds[J], Row.Stats[J].NodeUpdates,
-              Row.Stats[J].WideningApplications,
-              Row.Stats[J].InterpretCalls,
-              Row.Stats[J].InterpretCacheHits});
+    Json.add(bench::solverRecord(RecordName, Row.Seconds[J], Row.Stats[J]));
   }
   std::printf("\n");
 }

@@ -175,7 +175,11 @@ std::vector<std::vector<unsigned>> ProgramGraph::dependenceSuccessors() const {
 
 std::string ProgramGraph::toDot() const {
   std::string Out = "digraph pmaf {\n  node [shape=circle];\n";
-  auto NodeName = [](unsigned V) { return "v" + std::to_string(V); };
+  auto NodeName = [](unsigned V) {
+    std::string Name = "v";
+    Name += std::to_string(V);
+    return Name;
+  };
   for (unsigned P = 0; P != Procs.size(); ++P) {
     Out += "  subgraph cluster_" + std::to_string(P) + " {\n";
     Out += "    label=\"" + Prog->Procs[P].Name + "\";\n";

@@ -43,8 +43,13 @@ std::string LinearExpr::toString(
     const Rational &C = coeff(I);
     if (C.isZero())
       continue;
-    std::string Name =
-        I < Names.size() ? Names[I] : "x" + std::to_string(I);
+    std::string Name;
+    if (I < Names.size()) {
+      Name = Names[I];
+    } else {
+      Name = "x";
+      Name += std::to_string(I);
+    }
     if (Out.empty()) {
       if (C == Rational(1))
         Out += Name;

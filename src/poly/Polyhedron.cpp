@@ -211,6 +211,32 @@ Polyhedron cachedConversion(ConvKey Key, ComputeFn &&Compute) {
 // Dualization (Chernikova's algorithm)
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// A generator of the cone under construction with its saturation bitset:
+/// bit K is set iff the row is orthogonal to the K-th processed constraint.
+/// The bits are derived step by step, never recomputed by dot products.
+struct SatRow {
+  ConeRow Row;
+  std::vector<uint64_t> Sat;
+
+  void setSat(size_t K) { Sat[K / 64] |= uint64_t(1) << (K % 64); }
+};
+
+void sortAndDedup(std::vector<SatRow> &Rows) {
+  std::sort(Rows.begin(), Rows.end(), [](const SatRow &A, const SatRow &B) {
+    return rowLess(A.Row, B.Row);
+  });
+  // Equal rows have equal saturation sets, so either copy may go.
+  Rows.erase(std::unique(Rows.begin(), Rows.end(),
+                         [](const SatRow &A, const SatRow &B) {
+                           return A.Row == B.Row;
+                         }),
+             Rows.end());
+}
+
+} // namespace
+
 std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
                                    unsigned Cols) {
   numericCounters().MinimizationCalls.fetch_add(1, std::memory_order_relaxed);
@@ -225,29 +251,33 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
   for (const ConeRow &Row : Input)
     if (!Row.IsLinearity)
       Ordered.push_back(&Row);
+  const size_t Words = (Ordered.size() + 63) / 64;
 
   // Start from the universe cone: Cols independent lines.
-  std::vector<ConeRow> Gens;
+  std::vector<SatRow> Gens(Cols);
   for (unsigned I = 0; I != Cols; ++I) {
-    ConeRow Line;
-    Line.IsLinearity = true;
-    Line.Coeffs.assign(Cols, BigInt(0));
-    Line.Coeffs[I] = BigInt(1);
-    Gens.push_back(std::move(Line));
+    Gens[I].Row.IsLinearity = true;
+    Gens[I].Row.Coeffs.assign(Cols, BigInt(0));
+    Gens[I].Row.Coeffs[I] = BigInt(1);
+    Gens[I].Sat.assign(Words, 0);
   }
 
-  std::vector<const ConeRow *> Processed;
-  for (const ConeRow *Con : Ordered) {
-    std::vector<BigInt> S(Gens.size());
+  // Invariants behind the derived bits: every line is orthogonal to every
+  // processed constraint, and every ray satisfies the processed
+  // inequalities and is orthogonal to the processed equalities.
+  std::vector<BigInt> S;
+  for (size_t K = 0; K != Ordered.size(); ++K) {
+    const ConeRow &Con = *Ordered[K];
+    S.resize(Gens.size());
     for (size_t I = 0; I != Gens.size(); ++I)
-      S[I] = dotProduct(Gens[I], *Con);
+      S[I] = dotProduct(Gens[I].Row, Con);
 
     // Pivot case: some line is not orthogonal to the new constraint; use
     // it to make every other generator orthogonal, then either drop it
     // (equality) or orient it into a ray (inequality).
     size_t Pivot = Gens.size();
     for (size_t I = 0; I != Gens.size(); ++I)
-      if (Gens[I].IsLinearity && !S[I].isZero()) {
+      if (Gens[I].Row.IsLinearity && !S[I].isZero()) {
         Pivot = I;
         break;
       }
@@ -255,8 +285,14 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
     if (Pivot != Gens.size()) {
       BigInt AbsSL = S[Pivot].abs();
       int SignSL = S[Pivot].sign();
+      const ConeRow &Line = Gens[Pivot].Row;
       for (size_t I = 0; I != Gens.size(); ++I) {
-        if (I == Pivot || S[I].isZero())
+        if (I == Pivot)
+          continue;
+        // Orthogonal to Con now, and to each earlier constraint exactly
+        // when it was before: the line is orthogonal to all of those.
+        Gens[I].setSat(K);
+        if (S[I].isZero())
           continue;
         // g' = |s(L)| * g - sign(s(L)) * s(g) * L keeps conic orientation
         // (the multiplier of g is positive) and achieves s(g') = 0. Both
@@ -265,31 +301,32 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
         BigInt Mult = SignSL > 0 ? S[I] : S[I].negated();
         BigInt G = BigInt::gcd(AbsSL, Mult);
         BigInt GenMult = AbsSL.divExact(G), LineMult = Mult.divExact(G);
+        std::vector<BigInt> &Coeffs = Gens[I].Row.Coeffs;
         for (size_t Col = 0; Col != Cols; ++Col)
-          Gens[I].Coeffs[Col] = GenMult * Gens[I].Coeffs[Col] -
-                                LineMult * Gens[Pivot].Coeffs[Col];
-        Gens[I].normalize();
+          Coeffs[Col] = GenMult * Coeffs[Col] - LineMult * Line.Coeffs[Col];
+        Gens[I].Row.normalize();
       }
-      if (Con->IsLinearity) {
+      if (Con.IsLinearity) {
         Gens.erase(Gens.begin() + static_cast<ptrdiff_t>(Pivot));
       } else {
+        // The new ray saturates every earlier constraint (it was a line)
+        // but not Con, so its bits stay as they are.
+        ConeRow &Ray = Gens[Pivot].Row;
         if (SignSL < 0)
-          for (BigInt &C : Gens[Pivot].Coeffs)
+          for (BigInt &C : Ray.Coeffs)
             C = C.negated();
-        Gens[Pivot].IsLinearity = false;
-        Gens[Pivot].normalize();
+        Ray.IsLinearity = false;
+        Ray.normalize();
       }
-      Processed.push_back(Con);
       continue;
     }
 
     // Split case: partition the rays by the sign of their product.
-    std::vector<size_t> Plus, Zero, Minus;
-    std::vector<ConeRow> Lines;
+    std::vector<size_t> Plus, Zero, Minus, Lines;
     for (size_t I = 0; I != Gens.size(); ++I) {
-      if (Gens[I].IsLinearity) {
+      if (Gens[I].Row.IsLinearity) {
         assert(S[I].isZero() && "line escaped the pivot case");
-        Lines.push_back(Gens[I]);
+        Lines.push_back(I);
         continue;
       }
       int Sign = S[I].sign();
@@ -301,65 +338,74 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
         Zero.push_back(I);
     }
 
-    // Saturation bitsets over the processed constraints, for the
-    // combinatorial adjacency test (two extreme rays are adjacent iff no
-    // third ray saturates every constraint they both saturate).
-    std::vector<std::vector<bool>> Sat(Gens.size());
-    std::vector<size_t> Rays;
-    for (size_t I = 0; I != Gens.size(); ++I) {
-      if (Gens[I].IsLinearity)
-        continue;
-      Rays.push_back(I);
-      Sat[I].resize(Processed.size());
-      for (size_t K = 0; K != Processed.size(); ++K)
-        Sat[I][K] = dotProduct(Gens[I], *Processed[K]).isZero();
-    }
+    // Combinatorial adjacency test: two extreme rays are adjacent iff no
+    // third ray saturates every constraint they both saturate.
+    std::vector<uint64_t> Common(Words);
     auto Adjacent = [&](size_t A, size_t B) {
-      for (size_t Other : Rays) {
-        if (Other == A || Other == B)
+      for (size_t W = 0; W != Words; ++W)
+        Common[W] = Gens[A].Sat[W] & Gens[B].Sat[W];
+      for (size_t Other = 0; Other != Gens.size(); ++Other) {
+        if (Other == A || Other == B || Gens[Other].Row.IsLinearity)
           continue;
-        bool Covers = true;
-        for (size_t K = 0; K != Processed.size() && Covers; ++K)
-          if (Sat[A][K] && Sat[B][K] && !Sat[Other][K])
-            Covers = false;
-        if (Covers)
+        const std::vector<uint64_t> &OtherSat = Gens[Other].Sat;
+        size_t W = 0;
+        while (W != Words && (Common[W] & ~OtherSat[W]) == 0)
+          ++W;
+        if (W == Words)
           return false;
       }
       return true;
     };
 
-    std::vector<ConeRow> Next = std::move(Lines);
-    for (size_t I : Zero)
-      Next.push_back(Gens[I]);
-    if (!Con->IsLinearity)
-      for (size_t I : Plus)
-        Next.push_back(Gens[I]);
+    std::vector<SatRow> Next;
+    Next.reserve(Lines.size() + Zero.size() + Plus.size());
     for (size_t P : Plus)
       for (size_t M : Minus) {
         if (!Adjacent(P, M))
           continue;
         // s(P) * g_M - s(M) * g_P: a conic combination with s = 0, with
-        // both multipliers divided by their (positive) gcd first.
+        // both multipliers divided by their (positive) gcd first. With
+        // positive multipliers it saturates an earlier constraint iff both
+        // P and M do.
         BigInt G = BigInt::gcd(S[P], S[M]);
         BigInt MultM = S[P].divExact(G), MultP = S[M].divExact(G);
-        ConeRow Combo;
-        Combo.Coeffs.resize(Cols);
+        SatRow Combo;
+        Combo.Row.Coeffs.resize(Cols);
         for (size_t Col = 0; Col != Cols; ++Col)
-          Combo.Coeffs[Col] =
-              MultM * Gens[M].Coeffs[Col] - MultP * Gens[P].Coeffs[Col];
-        if (Combo.normalize())
-          Next.push_back(std::move(Combo));
+          Combo.Row.Coeffs[Col] = MultM * Gens[M].Row.Coeffs[Col] -
+                                  MultP * Gens[P].Row.Coeffs[Col];
+        if (!Combo.Row.normalize())
+          continue;
+        Combo.Sat.resize(Words);
+        for (size_t W = 0; W != Words; ++W)
+          Combo.Sat[W] = Gens[P].Sat[W] & Gens[M].Sat[W];
+        Combo.setSat(K);
+        Next.push_back(std::move(Combo));
       }
+    for (size_t I : Lines) {
+      Gens[I].setSat(K);
+      Next.push_back(std::move(Gens[I]));
+    }
+    for (size_t I : Zero) {
+      Gens[I].setSat(K);
+      Next.push_back(std::move(Gens[I]));
+    }
+    if (!Con.IsLinearity)
+      for (size_t I : Plus)
+        Next.push_back(std::move(Gens[I]));
     Gens = std::move(Next);
     sortAndDedup(Gens);
     PeakRows = std::max(PeakRows, static_cast<unsigned>(Gens.size()));
-    Processed.push_back(Con);
   }
 
   sortAndDedup(Gens);
   PeakRows = std::max(PeakRows, static_cast<unsigned>(Gens.size()));
   atomicMax(numericCounters().PeakGeneratorRows, PeakRows);
-  return Gens;
+  std::vector<ConeRow> Result;
+  Result.reserve(Gens.size());
+  for (SatRow &G : Gens)
+    Result.push_back(std::move(G.Row));
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//
@@ -416,9 +462,17 @@ Polyhedron Polyhedron::fromConstraintRows(unsigned Dim,
                                   isTrivialConstraint),
                    P.Cons.end());
       // Re-minimize the generator side against the minimal constraints.
-      std::vector<ConeRow> MinimalCons = P.Cons;
-      MinimalCons.push_back(positivityRow(Dim));
-      P.Gens = dualize(MinimalCons, Dim + 1);
+      // A pointed cone needs no second pass: its minimal generators are
+      // its extreme rays, unique once primitive, and the first pass
+      // returned exactly those. With lines, the basis of the lineality
+      // space depends on the input, so it is recomputed from the minimal
+      // constraints to stay canonical.
+      if (std::any_of(P.Gens.begin(), P.Gens.end(),
+                      [](const ConeRow &G) { return G.IsLinearity; })) {
+        std::vector<ConeRow> MinimalCons = P.Cons;
+        MinimalCons.push_back(positivityRow(Dim));
+        P.Gens = dualize(MinimalCons, Dim + 1);
+      }
     }
     return P;
   });

@@ -66,7 +66,10 @@ BigInt dotProduct(const ConeRow &A, const ConeRow &B);
 /// Dualizes a cone representation: given the constraints of a cone in
 /// Q^{Cols} returns its minimal generators, and vice versa (the algorithm
 /// is self-dual). Chernikova's incremental construction with the
-/// saturation-based adjacency test.
+/// saturation-based adjacency test. Each generator carries a packed bitset
+/// of the processed constraints it saturates, derived from its parents as
+/// it is built (never by dot products), so the adjacency test is word-wise.
+/// The result is sorted and deduplicated.
 std::vector<ConeRow> dualize(const std::vector<ConeRow> &Input,
                              unsigned Cols);
 

@@ -29,6 +29,40 @@ std::vector<uint32_t> BigInt::smallMag() const {
   return Result;
 }
 
+bool BigInt::magnitude128(unsigned __int128 &Out) const {
+  if (IsSmall) {
+    Out = absOfInt64(Small);
+    return true;
+  }
+  if (Mag.size() > 4)
+    return false;
+  Out = 0;
+  for (size_t I = Mag.size(); I-- > 0;)
+    Out = (Out << 32) | Mag[I];
+  return true;
+}
+
+BigInt BigInt::fromMagnitude128(int Sign, unsigned __int128 Mag) {
+  if ((Mag >> 63) == 0) {
+    int64_t Value = static_cast<int64_t>(Mag);
+    return BigInt(Sign < 0 ? -Value : Value);
+  }
+  if (Sign < 0 && Mag == static_cast<unsigned __int128>(1) << 63)
+    return BigInt(INT64_MIN);
+  BigInt Result;
+  Result.IsSmall = false;
+  Result.LargeSign = Sign;
+  const uint64_t High = static_cast<uint64_t>(Mag >> 64);
+  const unsigned Bits =
+      High ? 128 - static_cast<unsigned>(__builtin_clzll(High)) : 64;
+  Result.Mag.resize((Bits + 31) / 32);
+  for (uint32_t &Limb : Result.Mag) {
+    Limb = static_cast<uint32_t>(Mag);
+    Mag >>= 32;
+  }
+  return Result;
+}
+
 BigInt BigInt::makeLarge(int Sign, std::vector<uint32_t> Mag) {
   trim(Mag);
   BigInt Result;
@@ -239,12 +273,21 @@ int BigInt::compare(const BigInt &Other) const {
 // Arithmetic
 //===----------------------------------------------------------------------===//
 
-BigInt BigInt::addSlow(const BigInt &A, const BigInt &B) {
-  int SignA = A.sign(), SignB = B.sign();
+BigInt BigInt::addSlow(const BigInt &A, const BigInt &B, bool NegateB) {
+  int SignA = A.sign(), SignB = NegateB ? -B.sign() : B.sign();
   if (SignA == 0)
-    return B;
+    return NegateB ? B.negated() : B;
   if (SignB == 0)
     return A;
+  unsigned __int128 WideA, WideB;
+  if (A.magnitude128(WideA) && B.magnitude128(WideB)) {
+    if (SignA != SignB)
+      return WideA >= WideB ? fromMagnitude128(SignA, WideA - WideB)
+                            : fromMagnitude128(SignB, WideB - WideA);
+    unsigned __int128 Sum;
+    if (!__builtin_add_overflow(WideA, WideB, &Sum))
+      return fromMagnitude128(SignA, Sum);
+  }
   std::vector<uint32_t> ScratchA, ScratchB;
   const std::vector<uint32_t> &MagA = A.magnitude(ScratchA),
                               &MagB = B.magnitude(ScratchB);
@@ -264,7 +307,7 @@ BigInt BigInt::operator+(const BigInt &Other) const {
     if (!__builtin_add_overflow(Small, Other.Small, &Sum))
       return BigInt(Sum);
   }
-  return addSlow(*this, Other);
+  return addSlow(*this, Other, /*NegateB=*/false);
 }
 
 BigInt BigInt::operator-(const BigInt &Other) const {
@@ -273,13 +316,17 @@ BigInt BigInt::operator-(const BigInt &Other) const {
     if (!__builtin_sub_overflow(Small, Other.Small, &Diff))
       return BigInt(Diff);
   }
-  return addSlow(*this, Other.negated());
+  return addSlow(*this, Other, /*NegateB=*/true);
 }
 
 BigInt BigInt::mulSlow(const BigInt &A, const BigInt &B) {
   int Sign = A.sign() * B.sign();
   if (Sign == 0)
     return BigInt();
+  unsigned __int128 WideA, WideB;
+  if (A.magnitude128(WideA) && B.magnitude128(WideB) && (WideA >> 64) == 0 &&
+      (WideB >> 64) == 0)
+    return fromMagnitude128(Sign, WideA * WideB);
   std::vector<uint32_t> ScratchA, ScratchB;
   return makeLarge(Sign,
                    mulMag(A.magnitude(ScratchA), B.magnitude(ScratchB)));
@@ -460,6 +507,13 @@ void BigInt::divmod(const BigInt &Divisor, BigInt &Quotient,
   // Truncated semantics: the quotient's sign is the product of the operand
   // signs; the remainder takes the dividend's sign.
   int QuotSign = sign() * Divisor.sign(), RemSign = sign();
+  unsigned __int128 WideU, WideV;
+  if (magnitude128(WideU) && Divisor.magnitude128(WideV)) {
+    const unsigned __int128 Quot = WideU / WideV, Rem = WideU - Quot * WideV;
+    Quotient = fromMagnitude128(QuotSign, Quot);
+    Remainder = fromMagnitude128(RemSign, Rem);
+    return;
+  }
   std::vector<uint32_t> ScratchA, ScratchB, QuotMag, RemMag;
   divmodMag(magnitude(ScratchA), Divisor.magnitude(ScratchB), QuotMag,
             RemMag);
@@ -496,21 +550,35 @@ static uint64_t gcdWords(uint64_t U, uint64_t W) {
   return U;
 }
 
+/// Euclid's algorithm on 128-bit words, down to 64-bit ones.
+static unsigned __int128 gcdWide(unsigned __int128 U, unsigned __int128 W) {
+  while ((U >> 64) != 0 || (W >> 64) != 0) {
+    if (W == 0)
+      return U;
+    unsigned __int128 T = U % W;
+    U = W;
+    W = T;
+  }
+  return gcdWords(static_cast<uint64_t>(U), static_cast<uint64_t>(W));
+}
+
 BigInt BigInt::gcd(const BigInt &A, const BigInt &B) {
-  // |INT64_MIN| does not fit in int64_t, so it takes the limb-wise path.
+  // |INT64_MIN| does not fit in int64_t, so it takes the 128-bit path.
   if (A.IsSmall && B.IsSmall && A.Small != INT64_MIN && B.Small != INT64_MIN)
     return BigInt(static_cast<int64_t>(
         gcdWords(absOfInt64(A.Small), absOfInt64(B.Small))));
-  // Euclid on the limb-wise divmod until both operands fit in int64_t.
+  // Euclid on the limb-wise divmod until both operands fit in 128 bits.
+  unsigned __int128 WideX, WideY;
+  if (A.magnitude128(WideX) && B.magnitude128(WideY))
+    return fromMagnitude128(1, gcdWide(WideX, WideY));
   BigInt X = A.abs(), Y = B.abs();
-  while (!X.IsSmall || !Y.IsSmall) {
+  while (!X.magnitude128(WideX) || !Y.magnitude128(WideY)) {
     if (Y.isZero())
       return X;
     X = X % Y;
     std::swap(X, Y);
   }
-  return BigInt(static_cast<int64_t>(gcdWords(
-      static_cast<uint64_t>(X.Small), static_cast<uint64_t>(Y.Small))));
+  return fromMagnitude128(1, gcdWide(WideX, WideY));
 }
 
 BigInt BigInt::lcm(const BigInt &A, const BigInt &B) {

@@ -11,10 +11,12 @@
 ///
 /// Values that fit in an int64_t are stored inline (no allocation) and use
 /// overflow-checked machine arithmetic; only results that overflow spill
-/// into a vector of 32-bit limbs. On that slow path division is Knuth's
-/// Algorithm D (one pass of short division for one-limb divisors) and gcd
-/// is Euclid's algorithm on it, dropping to the machine-word loop as soon
-/// as both operands fit in int64_t.
+/// into a vector of 32-bit limbs. The slow path computes in one unsigned
+/// 128-bit word, with no intermediate limb vectors, whenever both
+/// magnitudes fit in 128 bits (64 for a product's operands). Wider
+/// operands take the limb-wise routines: division is Knuth's Algorithm D
+/// (one pass of short division for one-limb divisors) and gcd is Euclid's
+/// algorithm on it, dropping to the word loops as soon as both operands fit.
 ///
 /// Invariant: a value is in the small representation if and only if it fits
 /// in int64_t, so representations are canonical and comparisons cheap.
@@ -129,6 +131,12 @@ private:
   /// Magnitude limbs of a small value (little-endian, <= 2 limbs).
   std::vector<uint32_t> smallMag() const;
 
+  /// Writes the magnitude into \p Out if it fits in 128 bits.
+  bool magnitude128(unsigned __int128 &Out) const;
+
+  /// Builds Sign * Mag (Sign is -1 or +1; the sign of zero is ignored).
+  static BigInt fromMagnitude128(int Sign, unsigned __int128 Mag);
+
   /// Magnitude limbs without copying a large value's: returns Mag, or
   /// writes a small value's limbs into \p Scratch and returns that.
   const std::vector<uint32_t> &
@@ -155,8 +163,9 @@ private:
                         std::vector<uint32_t> &Q, std::vector<uint32_t> &R);
   static void trim(std::vector<uint32_t> &Mag);
 
-  /// Slow-path arithmetic on mixed/large operands.
-  static BigInt addSlow(const BigInt &A, const BigInt &B);
+  /// Slow-path arithmetic on mixed/large operands; addSlow computes
+  /// A - B when \p NegateB is set.
+  static BigInt addSlow(const BigInt &A, const BigInt &B, bool NegateB);
   static BigInt mulSlow(const BigInt &A, const BigInt &B);
 
   bool IsSmall = true;

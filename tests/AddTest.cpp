@@ -403,8 +403,11 @@ TEST(AddBiDomainTest, IndependentVariablesStayCompact) {
   std::string Body;
   const unsigned N = 10;
   for (unsigned I = 0; I != N; ++I) {
-    Decls += std::string(I ? "," : "") + " v" + std::to_string(I);
-    Body += "v" + std::to_string(I) + " ~ bernoulli(0.5);\n";
+    Decls += I ? ", v" : " v";
+    Decls += std::to_string(I);
+    Body += "v";
+    Body += std::to_string(I);
+    Body += " ~ bernoulli(0.5);\n";
   }
   std::string Source = Decls + "; proc main() { " + Body + " }";
   auto Prog = lang::parseProgramOrDie(Source);

@@ -34,6 +34,14 @@
 namespace pmaf {
 namespace testgen {
 
+/// "<Prefix><I>", built by appending: GCC 12 misreports
+/// `"b" + std::to_string(I)` under -Wrestrict.
+inline std::string indexedName(const char *Prefix, unsigned I) {
+  std::string Name = Prefix;
+  Name += std::to_string(I);
+  return Name;
+}
+
 inline Rational randomProb(Rng &R, unsigned DenBound = 16) {
   int64_t Den = 1 + static_cast<int64_t>(R.below(DenBound));
   int64_t Num = static_cast<int64_t>(R.below(Den + 1));
@@ -119,7 +127,7 @@ randomBoolProgram(Rng &R, unsigned NumVars, unsigned NumStmts) {
   using namespace lang;
   auto Prog = std::make_unique<Program>();
   for (unsigned I = 0; I != NumVars; ++I)
-    Prog->Vars.push_back(VarInfo{"b" + std::to_string(I), false, {}});
+    Prog->Vars.push_back(VarInfo{indexedName("b", I), false, {}});
   std::vector<Stmt::Ptr> Stmts;
   for (unsigned I = 0; I != NumStmts; ++I)
     Stmts.push_back(randomBoolStmt(R, NumVars, 2));
@@ -296,12 +304,12 @@ randomBoolProgram(Rng &R, const BoolGenConfig &C) {
   using namespace lang;
   auto Prog = std::make_unique<Program>();
   for (unsigned I = 0; I != C.NumVars; ++I)
-    Prog->Vars.push_back(VarInfo{"b" + std::to_string(I), false, {}});
+    Prog->Vars.push_back(VarInfo{indexedName("b", I), false, {}});
 
   // Procedure indices are fixed up front: main = 0, helper H = H + 1.
   std::vector<detail::CalleeInfo> Helpers;
   for (unsigned H = 0; H != C.HelperProcs; ++H)
-    Helpers.push_back({H + 1, "h" + std::to_string(H + 1)});
+    Helpers.push_back({H + 1, indexedName("h", H + 1)});
 
   std::vector<Stmt::Ptr> MainBody;
   for (unsigned I = 0; I != C.NumStmts; ++I)
@@ -438,7 +446,7 @@ randomRealProgram(Rng &R, unsigned NumVars, unsigned NumStmts,
   using namespace lang;
   auto Prog = std::make_unique<Program>();
   for (unsigned I = 0; I != NumVars; ++I)
-    Prog->Vars.push_back(VarInfo{"x" + std::to_string(I), true, {}});
+    Prog->Vars.push_back(VarInfo{indexedName("x", I), true, {}});
   std::vector<Stmt::Ptr> Stmts;
   for (unsigned I = 0; I != NumStmts; ++I)
     Stmts.push_back(randomRealStmt(R, NumVars, Depth));

@@ -70,13 +70,12 @@ std::vector<unsigned> nodesOfProc(const cfg::ProgramGraph &Graph,
   return Nodes;
 }
 
-/// Cold-solves \p Prog, then for every procedure re-solves warm with that
+/// Cold-solves \p Graph, then for every procedure re-solves warm with that
 /// procedure's dependence closure dirty and demands value-identical
 /// fixpoints. \p Configure applies the domain's solver preset.
 template <typename D, typename ConfigureFn>
-void expectWarmMatchesCold(const lang::Program &Prog, D &Dom,
-                           const cfg::ProgramGraph &Graph, unsigned Jobs,
-                           ConfigureFn Configure) {
+void expectWarmMatchesCold(D &Dom, const cfg::ProgramGraph &Graph,
+                           unsigned Jobs, ConfigureFn Configure) {
   core::CompiledProgram<D> Compiled(Graph, Dom);
   core::SolverOptions Opts;
   Configure(Opts);
@@ -107,7 +106,7 @@ void expectBiWarmMatchesCold(const lang::Program &Prog, unsigned Jobs) {
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
   domains::BoolStateSpace Space(Prog);
   domains::BiDomain Dom(Space);
-  expectWarmMatchesCold(Prog, Dom, Graph, Jobs, [](core::SolverOptions &O) {
+  expectWarmMatchesCold(Dom, Graph, Jobs, [](core::SolverOptions &O) {
     O.UseWidening = false;
   });
 }
@@ -147,10 +146,9 @@ TEST(ServerSolverTest, MdpWarmStartBitIdenticalOnBenchmarks) {
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
     domains::MdpDomain Dom;
     for (unsigned Jobs : {1u, 4u})
-      expectWarmMatchesCold(*Prog, Dom, Graph, Jobs,
-                            [](core::SolverOptions &O) {
-                              O.WideningDelay = 10000;
-                            });
+      expectWarmMatchesCold(Dom, Graph, Jobs, [](core::SolverOptions &O) {
+        O.WideningDelay = 10000;
+      });
   }
 }
 
@@ -161,8 +159,7 @@ TEST(ServerSolverTest, LeiaWarmStartBitIdenticalOnRandomPrograms) {
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
     domains::LeiaDomainT<poly::LadderValue> Dom(*Prog);
     for (unsigned Jobs : {1u, 4u})
-      expectWarmMatchesCold(*Prog, Dom, Graph, Jobs,
-                            [](core::SolverOptions &) {});
+      expectWarmMatchesCold(Dom, Graph, Jobs, [](core::SolverOptions &) {});
   }
 }
 
@@ -228,8 +225,9 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
     EXPECT_EQ(Incremental.Exit, FromScratch.Exit);
     if (!ER.ChangedProcs.empty()) {
       EXPECT_TRUE(Incremental.Reuse.Incremental);
-      if (ER.DirtyNodes < ER.TotalNodes)
+      if (ER.DirtyNodes < ER.TotalNodes) {
         EXPECT_GT(Incremental.Reuse.NodesReused, 0u);
+      }
     }
   }
 }
@@ -522,7 +520,8 @@ TEST(DaemonTest, ConcurrentClientsOnDistinctSessions) {
   for (int I = 0; I != 4; ++I)
     Clients.emplace_back([&D, &Failures, I] {
       TestClient C(D.port());
-      const std::string Session = "s" + std::to_string(I);
+      std::string Session = "s";
+      Session += std::to_string(I);
       server::Json Load = C.request(
           "{\"cmd\":\"load\",\"session\":\"" + Session +
           "\",\"source\":\"bool a, b; proc main() { a ~ bernoulli(1/2); "

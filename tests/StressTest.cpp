@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
 
 using namespace pmaf;
@@ -45,35 +47,120 @@ BigInt randomBigInt(Rng &R, unsigned Bits) {
   return R.below(2) ? Value.negated() : Value;
 }
 
+/// A (sign, magnitude) pair: the oracle for values of up to 128 bits.
+struct Wide128 {
+  int Sign = 0;
+  unsigned __int128 Mag = 0;
+
+  bool operator==(const Wide128 &Other) const {
+    return Sign == Other.Sign && Mag == Other.Mag;
+  }
+};
+
+std::string toString(const Wide128 &W) {
+  std::string Digits;
+  unsigned __int128 Mag = W.Mag;
+  do {
+    Digits.insert(Digits.begin(), static_cast<char>('0' + Mag % 10));
+    Mag /= 10;
+  } while (Mag != 0);
+  return W.Sign < 0 ? "-" + Digits : Digits;
+}
+
+/// \p X read through the decimal printer, which shares no arithmetic with
+/// the operations under test; nullopt if it is wider than 128 bits.
+std::optional<Wide128> toWide(const BigInt &X) {
+  Wide128 W;
+  W.Sign = X.sign();
+  for (char C : X.toString()) {
+    if (C == '-')
+      continue;
+    if (__builtin_mul_overflow(W.Mag, 10u, &W.Mag) ||
+        __builtin_add_overflow(W.Mag, static_cast<unsigned>(C - '0'),
+                               &W.Mag))
+      return std::nullopt;
+  }
+  return W;
+}
+
+Wide128 wide(int Sign, unsigned __int128 Mag) {
+  return Wide128{Mag == 0 ? 0 : Sign, Mag};
+}
+
+std::optional<Wide128> wideAdd(const Wide128 &A, const Wide128 &B) {
+  if (A.Sign == 0 || B.Sign == 0)
+    return A.Sign == 0 ? B : A;
+  if (A.Sign != B.Sign)
+    return A.Mag >= B.Mag ? wide(A.Sign, A.Mag - B.Mag)
+                          : wide(B.Sign, B.Mag - A.Mag);
+  unsigned __int128 Sum;
+  if (__builtin_add_overflow(A.Mag, B.Mag, &Sum))
+    return std::nullopt;
+  return wide(A.Sign, Sum);
+}
+
+std::optional<Wide128> wideMul(const Wide128 &A, const Wide128 &B) {
+  unsigned __int128 Product;
+  if (__builtin_mul_overflow(A.Mag, B.Mag, &Product))
+    return std::nullopt;
+  return wide(A.Sign * B.Sign, Product);
+}
+
+unsigned __int128 wideGcd(unsigned __int128 U, unsigned __int128 V) {
+  while (V != 0) {
+    unsigned __int128 T = U % V;
+    U = V;
+    V = T;
+  }
+  return U;
+}
+
+/// Checks \p Got against the oracle's \p Want, when the exact result fits.
+void expectWide(const BigInt &Got, const std::optional<Wide128> &Want,
+                const char *Op, const BigInt &A, const BigInt &B) {
+  if (!Want)
+    return;
+  std::optional<Wide128> Have = toWide(Got);
+  EXPECT_TRUE(Have && *Have == *Want)
+      << A.toString() << " " << Op << " " << B.toString() << " = "
+      << Got.toString() << ", oracle " << toString(*Want);
+}
+
 } // namespace
 
 TEST_P(BigIntPropertyTest, MatchesInt128OracleWhenSmall) {
   unsigned Bits = GetParam();
-  if (Bits > 62)
-    GTEST_SKIP() << "oracle covers small widths only";
+  if (Bits > 128)
+    GTEST_SKIP() << "oracle covers widths up to 128 bits";
   Rng R(Bits * 7919);
+  unsigned ProductsChecked = 0;
   for (int Round = 0; Round != 300; ++Round) {
-    int64_t A = randomBigInt(R, Bits).toInt64();
-    int64_t B = randomBigInt(R, Bits).toInt64();
-    __int128 WideA = A, WideB = B;
-    auto Same = [](const BigInt &X, __int128 Y) {
-      __int128 Back = 0;
-      bool Neg = X.sign() < 0;
-      BigInt Abs = X.abs();
-      // Reconstruct through the decimal printer for full generality.
-      for (char C : Abs.toString())
-        Back = Back * 10 + (C - '0');
-      return (Neg ? -Back : Back) == Y;
-    };
-    EXPECT_TRUE(Same(BigInt(A) + BigInt(B), WideA + WideB));
-    EXPECT_TRUE(Same(BigInt(A) - BigInt(B), WideA - WideB));
-    EXPECT_TRUE(Same(BigInt(A) * BigInt(B), WideA * WideB));
-    if (B != 0) {
-      BigInt Q, Rem;
-      BigInt(A).divmod(BigInt(B), Q, Rem);
-      EXPECT_TRUE(Same(Q, WideA / WideB));
-      EXPECT_TRUE(Same(Rem, WideA % WideB));
+    BigInt A = randomBigInt(R, Bits), B = randomBigInt(R, Bits);
+    std::optional<Wide128> WideA = toWide(A), WideB = toWide(B);
+    ASSERT_TRUE(WideA && WideB);
+    Wide128 NegB = wide(-WideB->Sign, WideB->Mag);
+    expectWide(A + B, wideAdd(*WideA, *WideB), "+", A, B);
+    expectWide(A - B, wideAdd(*WideA, NegB), "-", A, B);
+    const std::optional<Wide128> Product = wideMul(*WideA, *WideB);
+    expectWide(A * B, Product, "*", A, B);
+    expectWide(BigInt::gcd(A, B),
+               wide(1, wideGcd(WideA->Mag, WideB->Mag)), "gcd", A, B);
+    if (B.isZero())
+      continue;
+    BigInt Q, Rem;
+    A.divmod(B, Q, Rem);
+    const unsigned __int128 QMag = WideA->Mag / WideB->Mag,
+                            RemMag = WideA->Mag % WideB->Mag;
+    expectWide(Q, wide(WideA->Sign * WideB->Sign, QMag), "/", A, B);
+    expectWide(Rem, wide(WideA->Sign, RemMag), "%", A, B);
+    if (Product) {
+      expectWide((A * B).divExact(B), WideA, "divExact", A * B, B);
+      ++ProductsChecked;
     }
+  }
+  // Products of operands up to 64 bits always fit the oracle.
+  if (Bits <= 64) {
+    EXPECT_GT(ProductsChecked, 250u);
   }
 }
 
@@ -231,6 +318,139 @@ TEST(BigIntReferenceEdgeTest, Int64MinAndWordBoundaries) {
   EXPECT_EQ(Min / BigInt(-1), Min.negated());
   EXPECT_EQ(BigInt::gcd(Min, Min), Min.negated());
   EXPECT_EQ(BigInt::gcd(Min, BigInt(0)), Min.negated());
+}
+
+namespace {
+
+/// Schoolbook arithmetic on decimal digit strings (most significant digit
+/// first, no leading zeros): a reference for + - * that shares no code
+/// with BigInt's arithmetic. BigInt values enter and leave through
+/// toString(), whose limb-wise printer is not under test here.
+struct Decimal {
+  bool Negative = false;
+  std::string Digits = "0";
+};
+
+Decimal toDecimal(const BigInt &X) {
+  std::string Text = X.toString();
+  Decimal D;
+  D.Negative = Text[0] == '-';
+  D.Digits = D.Negative ? Text.substr(1) : Text;
+  return D;
+}
+
+std::string toString(const Decimal &D) {
+  return D.Negative && D.Digits != "0" ? "-" + D.Digits : D.Digits;
+}
+
+int compareDigits(const std::string &A, const std::string &B) {
+  if (A.size() != B.size())
+    return A.size() < B.size() ? -1 : 1;
+  return A.compare(B) < 0 ? -1 : (A == B ? 0 : 1);
+}
+
+std::string trimDigits(std::string Digits) {
+  size_t First = Digits.find_first_not_of('0');
+  return First == std::string::npos ? "0" : Digits.substr(First);
+}
+
+std::string addDigits(const std::string &A, const std::string &B) {
+  std::string Sum;
+  int Carry = 0;
+  for (size_t I = 0; I < A.size() || I < B.size() || Carry; ++I) {
+    int Digit = Carry;
+    if (I < A.size())
+      Digit += A[A.size() - 1 - I] - '0';
+    if (I < B.size())
+      Digit += B[B.size() - 1 - I] - '0';
+    Sum.insert(Sum.begin(), static_cast<char>('0' + Digit % 10));
+    Carry = Digit / 10;
+  }
+  return trimDigits(Sum);
+}
+
+/// Requires A >= B.
+std::string subDigits(const std::string &A, const std::string &B) {
+  std::string Diff = A;
+  int Borrow = 0;
+  for (size_t I = 0; I != A.size(); ++I) {
+    int Digit = A[A.size() - 1 - I] - '0' - Borrow;
+    if (I < B.size())
+      Digit -= B[B.size() - 1 - I] - '0';
+    Borrow = Digit < 0;
+    Diff[A.size() - 1 - I] = static_cast<char>('0' + Digit + 10 * Borrow);
+  }
+  return trimDigits(Diff);
+}
+
+std::string mulDigits(const std::string &A, const std::string &B) {
+  std::vector<int> Acc(A.size() + B.size(), 0);
+  for (size_t I = 0; I != A.size(); ++I)
+    for (size_t J = 0; J != B.size(); ++J)
+      Acc[I + J + 1] += (A[I] - '0') * (B[J] - '0');
+  for (size_t K = Acc.size(); K-- > 1;) {
+    Acc[K - 1] += Acc[K] / 10;
+    Acc[K] %= 10;
+  }
+  std::string Product;
+  for (int Digit : Acc)
+    Product.push_back(static_cast<char>('0' + Digit));
+  return trimDigits(Product);
+}
+
+Decimal decimalAdd(const Decimal &A, const Decimal &B) {
+  if (A.Negative == B.Negative)
+    return {A.Negative, addDigits(A.Digits, B.Digits)};
+  if (compareDigits(A.Digits, B.Digits) >= 0)
+    return {A.Negative, subDigits(A.Digits, B.Digits)};
+  return {B.Negative, subDigits(B.Digits, A.Digits)};
+}
+
+Decimal decimalMul(const Decimal &A, const Decimal &B) {
+  return {A.Negative != B.Negative, mulDigits(A.Digits, B.Digits)};
+}
+
+} // namespace
+
+TEST(BigIntReferenceEdgeTest, Int128Boundaries) {
+  // The magnitudes around the int64 and 128-bit word limits, where the
+  // fast path, the 128-bit slow path and the limb-wise path meet.
+  const char *const Magnitudes[] = {
+      "9223372036854775807",                      // 2^63 - 1
+      "9223372036854775808",                      // 2^63
+      "18446744073709551615",                     // 2^64 - 1
+      "18446744073709551617",                     // 2^64 + 1
+      "170141183460469231731687303715884105727",  // 2^127 - 1
+      "170141183460469231731687303715884105729",  // 2^127 + 1
+      "340282366920938463463374607431768211455",  // 2^128 - 1
+      "340282366920938463463374607431768211457",  // 2^128 + 1
+      "340282366920938463481821351505477763072",  // 2^128 + 2^64
+  };
+  std::vector<BigInt> Values = {BigInt(INT64_MIN), BigInt(INT64_MIN + 1),
+                                BigInt(-1), BigInt(0), BigInt(1)};
+  for (const char *Text : Magnitudes) {
+    BigInt Value = BigInt::fromString(Text);
+    ASSERT_EQ(Value.toString(), Text);
+    Values.push_back(Value);
+    Values.push_back(Value.negated());
+  }
+  for (const BigInt &A : Values)
+    for (const BigInt &B : Values) {
+      const Decimal DecA = toDecimal(A), DecB = toDecimal(B);
+      Decimal NegB = DecB;
+      NegB.Negative = !NegB.Negative;
+      auto Operands = [&] { return A.toString() + ", " + B.toString(); };
+      EXPECT_EQ((A + B).toString(), toString(decimalAdd(DecA, DecB)))
+          << Operands();
+      EXPECT_EQ((A - B).toString(), toString(decimalAdd(DecA, NegB)))
+          << Operands();
+      EXPECT_EQ((A * B).toString(), toString(decimalMul(DecA, DecB)))
+          << Operands();
+      expectMatchesReference(A, B);
+      if (!B.isZero()) {
+        EXPECT_EQ((A * B).divExact(B), A) << Operands();
+      }
+    }
 }
 
 TEST(BigIntReferenceEdgeTest, DivmodOutputsMayAliasInputs) {
