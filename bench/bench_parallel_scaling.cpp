@@ -15,28 +15,22 @@
 //       (IterationStrategy::ParallelScc), where independent strongly
 //       connected components of the dependence graph stabilize
 //       concurrently, and
-//  (iv) a synthesized single-SCC-dominant LEIA program — one wide
-//       `while prob` loop whose body fans into independent assignment
-//       chains — under both parallel-scc (which sees one SCC and
-//       degenerates to ~1x) and parallel-intra
-//       (IterationStrategy::ParallelIntra), which runs the conflict-free
-//       arms of the loop body concurrently between barriers, and
-//  (v)  the ladder-retention family (LADDER): the hottest ladder-backed
+//  (iv) the ladder-retention family (LADDER): the hottest ladder-backed
 //       LEIA programs (coupon5, eg, eg-tail) under parallel-scc, scored
 //       as *retention* — Seconds[jobs=1] / Seconds[jobs=J] — and
 //       *asserted*: every jobs>=2 row must retain at least 0.8x of the
 //       jobs=1 wall time (equivalently, run within 1.25x of it), i.e. the
 //       ladder's sequential win must survive the move to the parallel
-//       schedulers. The component->worker affinity keeps the thread-local
+//       scheduler. The component->worker affinity keeps the thread-local
 //       conversion memos hot, and the sharded L2 conversion cache catches
 //       the stolen components; a retention below the floor exits nonzero,
 //       so CI can smoke this family alone via `--family=ladder`.
 //
-// `--family=<bi|addbi|leia|wide|ladder>` restricts the run to one family
+// `--family=<bi|addbi|leia|ladder>` restricts the run to one family
 // (default: all).
 //
 // Speedup is reported relative to the same configuration at one job.
-// Both schedules are deterministic — the parallel fixpoints are
+// The parallel schedule is deterministic — its fixpoints are
 // bit-identical to the sequential ones (tests/SchedulerParityTest.cpp) —
 // so the comparison is purely about wall clock. Actual speedup is bounded
 // by the hardware thread count of the machine (printed in the header;
@@ -100,41 +94,6 @@ ScalingRow measure(AnalyzeFn &&Analyze) {
   return Row;
 }
 
-/// One independent arm of the wide loop: a chain of expectation-neutral
-/// updates on the arm's own variable (chains on distinct variables share
-/// no dependence arc, so the intra-component planner levels them side by
-/// side).
-std::string armChain(unsigned Arm, unsigned ChainLen) {
-  std::string Var = "a" + std::to_string(Arm);
-  std::string Out;
-  for (unsigned I = 0; I != ChainLen; ++I)
-    Out += "    " + Var + " ~ uniform(" + Var + " - 1, " + Var + " + 1);\n";
-  return Out;
-}
-
-/// A prob-branch tree fanning out to the arms [Lo, Hi).
-std::string branchTree(unsigned Lo, unsigned Hi, unsigned ChainLen) {
-  if (Hi - Lo == 1)
-    return armChain(Lo, ChainLen);
-  unsigned Mid = Lo + (Hi - Lo) / 2;
-  return "    if prob(1/2) {\n" + branchTree(Lo, Mid, ChainLen) +
-         "    } else {\n" + branchTree(Mid, Hi, ChainLen) + "    }\n";
-}
-
-/// The single-SCC-dominant program of family (iv): every node of the
-/// `while prob` body belongs to the loop's one dependence SCC, so
-/// per-SCC parallelism has nothing to fan out, while the \p Arms
-/// independent chains give the intra-component planner batches up to
-/// \p Arms wide.
-std::string wideLoopSource(unsigned Arms, unsigned ChainLen) {
-  std::string Out = "real ";
-  for (unsigned A = 0; A != Arms; ++A)
-    Out += (A ? ", a" : "a") + std::to_string(A);
-  Out += ";\nproc main() {\n  while prob(9/10) {\n" +
-         branchTree(0, Arms, ChainLen) + "  }\n}\n";
-  return Out;
-}
-
 void printRow(const char *Family, const char *Name, const ScalingRow &Row,
               bench::JsonEmitter &Json) {
   std::printf("%-6s %-14s", Family, Name);
@@ -160,10 +119,10 @@ int main(int argc, char **argv) {
     return Family.empty() || Family == F;
   };
   if (!Family.empty() && !Want("bi") && !Want("addbi") && !Want("leia") &&
-      !Want("wide") && !Want("ladder")) {
+      !Want("ladder")) {
     std::fprintf(stderr,
                  "error: unknown --family=%s (expected bi, addbi, leia, "
-                 "wide, or ladder)\n",
+                 "or ladder)\n",
                  Family.c_str());
     return 1;
   }
@@ -232,36 +191,7 @@ int main(int argc, char **argv) {
       printRow("LEIA", Bench.Name, Row, Json);
     }
 
-  // (iv) The single-SCC-dominant wide loop: the whole program is one
-  // loop nest, so the condensation offers parallel-scc nothing, while
-  // parallel-intra fans the independent arms of the body across the
-  // workers between barriers. Both reach the bit-identical fixpoint.
-  // Four arms: polyhedra cost grows steeply with the variable count, and
-  // at eight variables a single solve already dwarfs the whole rest of
-  // the table — four keeps the family cheap while still giving the
-  // intra-component planner multi-unit batches to fan out.
-  if (Want("wide")) {
-    std::string Source = wideLoopSource(/*Arms=*/4, /*ChainLen=*/12);
-    auto Prog = lang::parseProgramOrDie(Source);
-    cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-    const struct {
-      const char *Name;
-      IterationStrategy Strategy;
-    } Configs[] = {{"wide4-pscc", IterationStrategy::ParallelScc},
-                   {"wide4-pintra", IterationStrategy::ParallelIntra}};
-    for (const auto &Config : Configs) {
-      ScalingRow Row = measure([&](unsigned Jobs) {
-        LeiaDomain Dom(*Prog);
-        SolverOptions Opts;
-        Opts.Strategy = Config.Strategy;
-        Opts.Jobs = Jobs;
-        return solve(Graph, Dom, Opts);
-      });
-      printRow("WIDE", Config.Name, Row, Json);
-    }
-  }
-
-  // (v) The ladder-retention assertion: the same measurement as (iii) on
+  // (iv) The ladder-retention assertion: the same measurement as (iii) on
   // the hottest ladder programs, but the "speedup" column — which for
   // this family reads as retention, Seconds[jobs=1] / Seconds[J] — is a
   // hard floor. Affinity keeps a component's conversions in its owning

@@ -36,6 +36,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>

@@ -36,10 +36,7 @@
 ///  * **Iteration order.** The WTO of the dependence graph rooted at the
 ///    procedure exits, with two derived artifacts: the widening-operator
 ///    kind per widening point (the kinds of the component's guard edges,
-///    under the precedence ndet ▷ prob ▷ cond — see wideningKinds()),
-///    and the per-component conflict-free batch plans
-///    of the intra-component parallel scheduler (built lazily; only
-///    `--strategy=parallel-intra` pays for them).
+///    under the precedence ndet ▷ prob ▷ cond — see wideningKinds()).
 ///
 /// A CompiledProgram may be reused across repeated solve() calls over the
 /// same domain instance (the transformer cache then persists, which is
@@ -121,17 +118,6 @@ public:
   /// of the component, not of edge storage order.
   const std::vector<cfg::ControlAction::Kind> &wideningKinds() const {
     return WideningKinds;
-  }
-
-  /// Conflict-free intra-component batch plans (the ParallelIntra
-  /// scheduler's schedule), indexed by component-head node id. Built on
-  /// first request — only parallel-intra solves pay — and safe against
-  /// concurrent first requests.
-  const std::vector<cfg::IntraComponentPlan> &intraPlans() {
-    std::call_once(IntraPlansOnce, [&] {
-      IntraPlans = cfg::computeIntraPlans(Order, Dependents);
-    });
-    return IntraPlans;
   }
 
   /// The abstract transformer of `seq` hyper-edge \p EdgeIndex; interprets
@@ -350,8 +336,6 @@ private:
   std::vector<Slot> Transformers;
   cfg::Wto Order;
   std::vector<cfg::ControlAction::Kind> WideningKinds;
-  std::once_flag IntraPlansOnce;
-  std::vector<cfg::IntraComponentPlan> IntraPlans;
   std::atomic<uint64_t> InterpretCallCount{0};
   std::atomic<uint64_t> InterpretCacheHitCount{0};
   std::atomic<uint64_t> SeededTransformerCount{0};

@@ -111,19 +111,6 @@ public:
     (void)Seconds;
   }
 
-  /// The intra-component parallel scheduler ran one conflict-free batch
-  /// of \p Width units inside the component headed by \p Head, and the
-  /// coordinator waited \p BarrierWaitSeconds at the closing barrier
-  /// after exhausting its own share of the work. Emitted from the
-  /// coordinating thread (batches close on it), only for batches that
-  /// actually fanned out (Width >= 2).
-  virtual void onIntraBatch(unsigned Head, unsigned Width,
-                            double BarrierWaitSeconds) {
-    (void)Head;
-    (void)Width;
-    (void)BarrierWaitSeconds;
-  }
-
   /// The solve finished over a domain that reports numeric-layer counters
   /// (core/Domain.h); \p Stats holds this solve's deltas (peaks are
   /// high-water marks since the harness last reset them). Emitted from
@@ -171,13 +158,6 @@ public:
   double PrecompileSeconds = 0.0;
   uint64_t PrecompiledTransformers = 0;
   bool LastConverged = true;
-  /// Intra-component batch traffic (parallel-intra solves only): batches
-  /// that fanned out, a width histogram (bucket = min(width, MaxWidthBucket)),
-  /// and cumulative coordinator barrier-wait time.
-  static constexpr unsigned MaxWidthBucket = 16;
-  std::atomic<uint64_t> IntraBatches{0};
-  std::atomic<uint64_t> IntraWidthHistogram[MaxWidthBucket + 1] = {};
-  std::atomic<uint64_t> IntraBarrierWaitNanos{0};
   /// Numeric-layer counters summed over observed solves (peaks take the
   /// max); all-zero unless some solve's domain reports them.
   NumericLayerStats Numeric;
@@ -231,15 +211,6 @@ public:
     PrecompiledTransformers += Transformers;
     PrecompileSeconds += Seconds;
   }
-  void onIntraBatch(unsigned, unsigned Width,
-                    double BarrierWaitSeconds) override {
-    IntraBatches.fetch_add(1, std::memory_order_relaxed);
-    unsigned Bucket = Width < MaxWidthBucket ? Width : MaxWidthBucket;
-    IntraWidthHistogram[Bucket].fetch_add(1, std::memory_order_relaxed);
-    IntraBarrierWaitNanos.fetch_add(
-        static_cast<uint64_t>(BarrierWaitSeconds * 1e9),
-        std::memory_order_relaxed);
-  }
   void onNumericLayer(const NumericLayerStats &Stats) override {
     // Coordinating-thread event (like the other brackets), so plain
     // read-modify-write is fine.
@@ -289,22 +260,6 @@ public:
                     PrecompileSeconds);
       Out += Buffer;
     }
-    if (uint64_t Batches = IntraBatches.load()) {
-      std::snprintf(Buffer, sizeof(Buffer),
-                    "; intra-scc: %llu parallel batches, %.6f s barrier "
-                    "wait, widths:",
-                    static_cast<unsigned long long>(Batches),
-                    IntraBarrierWaitNanos.load() * 1e-9);
-      Out += Buffer;
-      for (unsigned W = 0; W <= MaxWidthBucket; ++W)
-        if (uint64_t N = IntraWidthHistogram[W].load()) {
-          std::snprintf(Buffer, sizeof(Buffer), " %u%s:%llu", W,
-                        W == MaxWidthBucket ? "+" : "",
-                        static_cast<unsigned long long>(N));
-          Out += Buffer;
-        }
-      Out += '\n';
-    }
     if (uint64_t Tasks = PoolTasksRun.load()) {
       std::snprintf(
           Buffer, sizeof(Buffer),
@@ -348,10 +303,6 @@ private:
     PrecompileSeconds = Other.PrecompileSeconds;
     PrecompiledTransformers = Other.PrecompiledTransformers;
     LastConverged = Other.LastConverged;
-    IntraBatches.store(Other.IntraBatches.load());
-    for (unsigned W = 0; W <= MaxWidthBucket; ++W)
-      IntraWidthHistogram[W].store(Other.IntraWidthHistogram[W].load());
-    IntraBarrierWaitNanos.store(Other.IntraBarrierWaitNanos.load());
     PoolTasksRun.store(Other.PoolTasksRun.load());
     PoolSteals.store(Other.PoolSteals.load());
     PoolAffinityHits.store(Other.PoolAffinityHits.load());

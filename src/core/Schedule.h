@@ -13,7 +13,7 @@
 /// strategies (and, later, parallel per-SCC drivers) plug in without
 /// touching the solver template or any domain.
 ///
-/// Five schedulers ship:
+/// Four schedulers ship:
 ///  * WtoRecursiveScheduler — Bourdoncle's recursive strategy (§4.4, the
 ///    paper's choice): stabilize each WTO component innermost-first.
 ///  * RoundRobinScheduler — naive full sweeps until a sweep changes
@@ -31,14 +31,8 @@
 ///    SCCs that already reached their fixpoint — so no locking guards the
 ///    value vector, widening stays inside one worker per SCC, and the
 ///    result is bit-identical to the sequential recursive strategy.
-///  * ParallelIntraScheduler — deterministic parallelism *inside* one
-///    component: the body of each WTO component is partitioned into
-///    conflict-free batches (cfg::computeIntraPlans) that run
-///    concurrently with a barrier between batches, while the outer
-///    re-iteration discipline stays Bourdoncle's. Complements the
-///    per-SCC driver on programs dominated by a single loop nest.
 ///
-/// All five drive the same Update callback, so widening, convergence
+/// All four drive the same Update callback, so widening, convergence
 /// bookkeeping, and instrumentation behave identically; they reach the
 /// same fixpoint (tests/SchedulerParityTest.cpp) with different amounts
 /// of work (and wall clock).
@@ -83,13 +77,6 @@ enum class IterationStrategy {
   /// each SCC). Falls back to sequential topological execution when the
   /// context carries no pool or the domain is not thread-safe.
   ParallelScc,
-  /// Deterministic intra-SCC driver: within each WTO component, run the
-  /// precomputed conflict-free batches of the component body
-  /// concurrently with a barrier between batches, keeping Bourdoncle's
-  /// outer re-iteration discipline unchanged. Falls back to the
-  /// sequential recursive strategy without a pool, a thread-safe domain,
-  /// or a batch plan.
-  ParallelIntra,
 };
 
 /// Everything a scheduler may consult. Domain-free by construction: the
@@ -121,30 +108,19 @@ struct ScheduleContext {
   /// without it.
   bool ParallelSafe = false;
   /// Component→worker affinity (SolverOptions::Affinity): the parallel
-  /// schedulers pin an SCC's stabilization rounds / a body unit's batch
-  /// slot to a fixed pool worker (postTo / ParallelBatch::runSticky), so
-  /// that worker's thread-local conversion memos stay hot across outer
-  /// re-iterations. Pinned work is still stolen when the owner saturates,
-  /// and the fixpoint is unaffected either way (determinism comes from
-  /// the per-SCC single-writer discipline and the conflict-free batches,
-  /// not from which worker runs what). Off → the pre-affinity shared-FIFO
-  /// dispatch, kept for A/B measurement and the parity sweep.
+  /// scheduler pins an SCC's stabilization to a fixed pool worker
+  /// (postTo), so that worker's thread-local conversion memos stay hot
+  /// across dispatches. Pinned work is still stolen when the owner
+  /// saturates, and the fixpoint is unaffected either way (determinism
+  /// comes from the per-SCC single-writer discipline, not from which
+  /// worker runs what). Off → the pre-affinity shared-FIFO dispatch, kept
+  /// for A/B measurement and the parity sweep.
   bool Affinity = true;
   /// Optional out-param: the parallel scheduler CAS-maxes the number of
   /// simultaneously in-flight SCC stabilizations into it (the facade
   /// reports it as SolverStats::MaxParallelSccs). Ignored by sequential
   /// schedulers.
   std::atomic<unsigned> *MaxParallelSccs = nullptr;
-  /// Conflict-free batch plans per component head (cfg::computeIntraPlans,
-  /// cached by CompiledProgram) for the ParallelIntra scheduler; null for
-  /// every other strategy.
-  const std::vector<cfg::IntraComponentPlan> *IntraPlans = nullptr;
-  /// Optional out-params for the ParallelIntra scheduler: batches that
-  /// fanned out, widest batch executed, and cumulative nanoseconds the
-  /// coordinator waited at batch barriers.
-  std::atomic<uint64_t> *IntraBatchesRun = nullptr;
-  std::atomic<unsigned> *MaxIntraBatchWidth = nullptr;
-  std::atomic<uint64_t> *IntraBarrierWaitNanos = nullptr;
 };
 
 /// Interface all chaotic-iteration schedulers implement.
@@ -370,98 +346,6 @@ private:
   }
 };
 
-/// Deterministic intra-component parallel driver. The outer loop is
-/// exactly Bourdoncle's recursive strategy; only the *body pass* of a
-/// component changes: instead of visiting the body elements left to
-/// right, it runs the component's precomputed conflict-free batches
-/// (cfg::IntraComponentPlan) in sequence, the units of one batch
-/// concurrently on the pool with a barrier before the next.
-///
-/// Determinism: units in a batch share no dependence arc, so each reads
-/// exactly the values it would have read in the sequential body order —
-/// the batched pass is extensionally identical to the sequential pass,
-/// node update counts included (widening delays fire identically), and
-/// the fixpoint is bit-identical to WtoRecursiveScheduler's for any
-/// thread count.
-///
-/// Deadlock discipline: barriers live only on the coordinator thread.
-/// Singleton batches run inline on the coordinator and recurse *batched*
-/// (so a nested component's body still fans out); units of a multi-unit
-/// batch run on pool workers with the plain sequential discipline —
-/// workers never wait.
-class ParallelIntraScheduler final : public Scheduler {
-public:
-  void run(const ScheduleContext &Ctx) override {
-    if (!Ctx.Pool || !Ctx.ParallelSafe || !Ctx.IntraPlans) {
-      // Sequential fallback — same iteration order, same fixpoint.
-      for (const cfg::WtoElement &Element : Ctx.Order->Elements)
-        stabilizeElement(Ctx, Element);
-      return;
-    }
-    support::ParallelBatch Batch(*Ctx.Pool);
-    for (const cfg::WtoElement &Element : Ctx.Order->Elements)
-      stabilizeBatched(Ctx, Element, Batch);
-  }
-
-private:
-  static void stabilizeBatched(const ScheduleContext &Ctx,
-                               const cfg::WtoElement &Element,
-                               support::ParallelBatch &Batch) {
-    if (!Element.IsComponent) {
-      Ctx.Update(Element.Node);
-      return;
-    }
-    const cfg::IntraComponentPlan &Plan = (*Ctx.IntraPlans)[Element.Node];
-    unsigned Passes = 0;
-    while (!Ctx.Exhausted()) {
-      ++Passes;
-      bool Changed = Ctx.Update(Element.Node);
-      for (const std::vector<unsigned> &Units : Plan.Batches) {
-        if (Units.size() == 1) {
-          stabilizeBatched(Ctx, Element.Body[Units[0]], Batch);
-          continue;
-        }
-        // With affinity, unit slot I is pinned to lane I mod (workers+1)
-        // on every pass (runSticky), so a unit's conversion memos live on
-        // one worker across the component's re-iterations; without it,
-        // any lane claims any unit from the shared cursor. Either way the
-        // batch is conflict-free, so the pass is extensionally identical.
-        auto Body = [&](size_t I) {
-          stabilizeElement(Ctx, Element.Body[Units[I]]);
-        };
-        double Waited = Ctx.Affinity ? Batch.runSticky(Units.size(), Body)
-                                     : Batch.run(Units.size(), Body);
-        if (Ctx.IntraBatchesRun)
-          Ctx.IntraBatchesRun->fetch_add(1, std::memory_order_relaxed);
-        if (Ctx.IntraBarrierWaitNanos)
-          Ctx.IntraBarrierWaitNanos->fetch_add(
-              static_cast<uint64_t>(Waited * 1e9),
-              std::memory_order_relaxed);
-        if (Ctx.MaxIntraBatchWidth) {
-          unsigned Width = static_cast<unsigned>(Units.size());
-          unsigned Seen =
-              Ctx.MaxIntraBatchWidth->load(std::memory_order_relaxed);
-          while (Seen < Width &&
-                 !Ctx.MaxIntraBatchWidth->compare_exchange_weak(
-                     Seen, Width, std::memory_order_relaxed))
-            ;
-        }
-        if (Ctx.Observer)
-          Ctx.Observer->onIntraBatch(Element.Node,
-                                     static_cast<unsigned>(Units.size()),
-                                     Waited);
-      }
-      // Same convergence criterion as stabilizeElement: a no-op pass
-      // followed by a no-op head update means every inequality in the
-      // component is satisfied.
-      if (!Changed && !Ctx.Update(Element.Node))
-        break;
-    }
-    if (Ctx.Observer)
-      Ctx.Observer->onComponentStabilized(Element.Node, Passes);
-  }
-};
-
 /// Factory keyed by strategy (the solver facade's dispatch point).
 inline std::unique_ptr<Scheduler> makeScheduler(IterationStrategy Strategy) {
   switch (Strategy) {
@@ -473,8 +357,6 @@ inline std::unique_ptr<Scheduler> makeScheduler(IterationStrategy Strategy) {
     return std::make_unique<WorklistScheduler>();
   case IterationStrategy::ParallelScc:
     return std::make_unique<ParallelSccScheduler>();
-  case IterationStrategy::ParallelIntra:
-    return std::make_unique<ParallelIntraScheduler>();
   }
   return nullptr;
 }
@@ -490,8 +372,6 @@ inline const char *toString(IterationStrategy Strategy) {
     return "worklist";
   case IterationStrategy::ParallelScc:
     return "parallel-scc";
-  case IterationStrategy::ParallelIntra:
-    return "parallel-intra";
   }
   return "?";
 }
@@ -508,8 +388,6 @@ parseIterationStrategy(std::string_view Name) {
     return IterationStrategy::Worklist;
   if (Name == "parallel-scc" || Name == "parallel" || Name == "pscc")
     return IterationStrategy::ParallelScc;
-  if (Name == "parallel-intra" || Name == "pintra")
-    return IterationStrategy::ParallelIntra;
   return std::nullopt;
 }
 

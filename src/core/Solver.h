@@ -37,12 +37,11 @@
 /// SolverOptions::Jobs asks for more than one worker and the domain
 /// declares ThreadSafeInterpret, solve() owns a per-solve thread pool,
 /// precompiles all `seq`-edge transformers on it before iteration starts,
-/// and hands it to the scheduler (IterationStrategy::ParallelScc and
-/// ParallelIntra use it). Update accounting switches to atomics so
-/// concurrent workers can share the counters; per-node state (values,
-/// update counts) needs no locks because each node is written by exactly
-/// one worker at a time (see ParallelSccScheduler and
-/// ParallelIntraScheduler).
+/// and hands it to the scheduler (IterationStrategy::ParallelScc uses
+/// it). Update accounting switches to atomics so concurrent workers can
+/// share the counters; per-node state (values, update counts) needs no
+/// locks because each node is written by exactly one worker at a time
+/// (see ParallelSccScheduler).
 ///
 /// The value computed at a procedure's entry node is that procedure's
 /// summary (§2.3).
@@ -135,12 +134,11 @@ struct SolverOptions {
   /// precompiles transformers up front, just on the calling thread.
   unsigned Jobs = 1;
 
-  /// Component→worker affinity for the parallel schedulers: pin an SCC's
-  /// stabilization rounds (ParallelScc) and a body unit's batch slot
-  /// (ParallelIntra) to a fixed pool worker so its thread-local
-  /// conversion memos stay hot across re-iterations; the pool still
-  /// steals from a saturated owner. Fixpoints are identical either way —
-  /// the switch exists for A/B measurement and the parity sweep.
+  /// Component→worker affinity for the ParallelScc scheduler: pin an
+  /// SCC's stabilization to a fixed pool worker so its thread-local
+  /// conversion memos stay hot; the pool still steals from a saturated
+  /// owner. Fixpoints are identical either way — the switch exists for
+  /// A/B measurement and the parity sweep.
   bool Affinity = true;
 
   /// Numeric backend for polyhedra-based domains. Consumed by the
@@ -198,12 +196,6 @@ struct SolverStats {
   /// the ParallelScc scheduler (1 for every sequential strategy) — the
   /// observed, not theoretical, SCC-level parallelism of the solve.
   unsigned MaxParallelSccs = 1;
-  /// Intra-component batches the ParallelIntra scheduler fanned out
-  /// (zero for every other strategy), the widest batch executed, and the
-  /// seconds the coordinator spent waiting at batch barriers.
-  uint64_t IntraBatchesRun = 0;
-  unsigned MaxIntraBatchWidth = 0;
-  double IntraBarrierWaitSeconds = 0.0;
   /// Pool queueing for the solve (all zero for sequential solves): tasks
   /// executed across workers, tasks taken from another worker's deque,
   /// and pinned tasks run by their owning worker. Steals low and
@@ -305,17 +297,14 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
 
   // Domains with parallel-phase hooks (core/Domain.h) reroute their
   // operations through per-thread state between these brackets; the guard
-  // covers the parallel schedulers' whole iteration (intra-component
-  // batches included) and closes only after they quiesce. Sequential
-  // strategies skip the solve-wide bracket even with Jobs > 1 — their
-  // iteration runs on the calling thread, and precompile() brackets its
-  // own fan-out — so they keep the domains' direct (arena-free) path.
-  // Workers = pool + caller.
-  const bool ParallelIteration =
-      Opts.Strategy == IterationStrategy::ParallelScc ||
-      Opts.Strategy == IterationStrategy::ParallelIntra;
+  // covers the parallel scheduler's whole iteration and closes only after
+  // it quiesces. Sequential strategies skip the solve-wide bracket even
+  // with Jobs > 1 — their iteration runs on the calling thread, and
+  // precompile() brackets its own fan-out — so they keep the domains'
+  // direct (arena-free) path. Workers = pool + caller.
   ParallelPhase<D> Phase(Dom, Pool ? Pool->size() + 1 : 1,
-                         Pool != nullptr && ParallelIteration);
+                         Pool != nullptr &&
+                             Opts.Strategy == IterationStrategy::ParallelScc);
 
   // With more than one job requested, pay for every transformer up front
   // (in parallel when the domain permits) so the iteration phase never
@@ -349,7 +338,7 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
     // Frozen under warm start: the prior fixpoint value stands, no
     // domain operation and no budget charge. Clean SCCs thus stabilize
     // in one trivial pass under every scheduler (the full WTO is kept —
-    // filtering it would corrupt the parallel schedulers' SCC indexing).
+    // filtering it would corrupt the parallel scheduler's SCC indexing).
     if (DirtyMask && !(*DirtyMask)[V])
       return false;
     if (!Graph.outgoing(V))
@@ -417,9 +406,6 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   std::vector<unsigned> Positions = Order.positions();
 
   std::atomic<unsigned> MaxParallelSccs{1};
-  std::atomic<uint64_t> IntraBatchesRun{0};
-  std::atomic<unsigned> MaxIntraBatchWidth{0};
-  std::atomic<uint64_t> IntraBarrierWaitNanos{0};
 
   ScheduleContext Ctx;
   Ctx.NumNodes = NumNodes;
@@ -435,22 +421,10 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   Ctx.ParallelSafe = ParallelSafe;
   Ctx.Affinity = Opts.Affinity;
   Ctx.MaxParallelSccs = &MaxParallelSccs;
-  if (Opts.Strategy == IterationStrategy::ParallelIntra) {
-    Ctx.IntraPlans = &Compiled.intraPlans();
-    Ctx.IntraBatchesRun = &IntraBatchesRun;
-    Ctx.MaxIntraBatchWidth = &MaxIntraBatchWidth;
-    Ctx.IntraBarrierWaitNanos = &IntraBarrierWaitNanos;
-  }
   makeScheduler(Opts.Strategy)->run(Ctx);
 
   Result.Stats.MaxParallelSccs =
       MaxParallelSccs.load(std::memory_order_relaxed);
-  Result.Stats.IntraBatchesRun =
-      IntraBatchesRun.load(std::memory_order_relaxed);
-  Result.Stats.MaxIntraBatchWidth =
-      MaxIntraBatchWidth.load(std::memory_order_relaxed);
-  Result.Stats.IntraBarrierWaitSeconds =
-      IntraBarrierWaitNanos.load(std::memory_order_relaxed) * 1e-9;
   Result.Stats.NodeUpdates = NodeUpdates.load(std::memory_order_relaxed);
   Result.Stats.WideningApplications =
       WideningApplications.load(std::memory_order_relaxed);

@@ -75,8 +75,7 @@ public:
   /// publishes through mutex-guarded migration into the home manager (see
   /// the file comment). The engine brackets every concurrent section with
   /// the hooks (core::ParallelPhase), so concurrent precompilation and
-  /// both parallel schedulers — the per-SCC one and the barrier-batched
-  /// intra-component one — are safe.
+  /// the per-SCC parallel scheduler are safe.
   static constexpr bool ThreadSafeInterpret = true;
 
   explicit AddBiDomain(const BoolStateSpace &Space,

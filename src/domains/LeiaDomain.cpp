@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <tuple>
 
 using namespace pmaf;
 using namespace pmaf::domains;
@@ -573,14 +574,18 @@ LeiaDomainT<NumV>::describeInvariants(const Value &A) const {
     PrimeNames.push_back(Var.Name + "'");
   for (const VarInfo &Var : Prog->Vars)
     PreNames.push_back(Var.Name);
+  // Sort key: (first E-variable index, relation rank, text).
+  using Line = std::tuple<unsigned, unsigned, std::string>;
+  std::vector<Line> Lines;
   for (const Constraint &Con : A.EP.constraintList()) {
     // Normalize by the leading expectation coefficient and split into the
     // E-part (left) and the pre-state part (right).
-    Rational Lead;
-    for (unsigned I = 0; I != N && Lead.isZero(); ++I)
-      Lead = Con.Expr.coeff(N + I);
-    if (Lead.isZero())
+    unsigned LeadIndex = 0;
+    while (LeadIndex != N && Con.Expr.coeff(N + LeadIndex).isZero())
+      ++LeadIndex;
+    if (LeadIndex == N)
       continue; // Support-only row; not an expectation invariant.
+    const Rational &Lead = Con.Expr.coeff(N + LeadIndex);
     bool Flipped = Lead.sign() < 0;
     double Scale = 1.0 / Lead.abs().toDouble() * (Flipped ? -1.0 : 1.0);
     std::vector<double> ECoeffs(N), PreCoeffs(N);
@@ -606,9 +611,16 @@ LeiaDomainT<NumV>::describeInvariants(const Value &A) const {
         continue;
     }
     const char *Rel = IsEq ? " == " : (Flipped ? " <= " : " >= ");
-    Result.push_back("E[" + formatAffine(ECoeffs, 0.0, PrimeNames) + "]" +
-                     Rel + formatAffine(PreCoeffs, PreConst, PreNames));
+    unsigned RelRank = IsEq ? 0 : (Flipped ? 2 : 1);
+    Lines.emplace_back(LeadIndex, RelRank,
+                       "E[" + formatAffine(ECoeffs, 0.0, PrimeNames) + "]" +
+                           Rel + formatAffine(PreCoeffs, PreConst, PreNames));
   }
+  // The backend's constraint-list order differs between numeric backends
+  // that agree on the polyhedron; print in a canonical order instead.
+  std::sort(Lines.begin(), Lines.end());
+  for (Line &L : Lines)
+    Result.push_back(std::move(std::get<2>(L)));
   return Result;
 }
 

@@ -122,7 +122,10 @@ public:
   std::string toString(const Value &A) const;
 
   /// Human-readable expectation invariants of a summary, e.g.
-  /// "E[x' + y'] == x + y + 3".
+  /// "E[x' + y'] == x + y + 3", in a canonical order that does not
+  /// depend on the numeric backend: by the index of the first variable
+  /// inside E[...], then equalities before lower (>=) before upper (<=)
+  /// bounds, then by text.
   std::vector<std::string> describeInvariants(const Value &A) const;
 
   /// Bounds of E[Objective'] (a linear combination of post-vocabulary

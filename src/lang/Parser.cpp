@@ -3,9 +3,11 @@
 #include "lang/Parser.h"
 #include "lang/Lexer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <string>
 
 using namespace pmaf;
 using namespace pmaf::lang;
@@ -149,6 +151,56 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
+  // Nesting depth
+  //===--------------------------------------------------------------------===//
+
+  /// Raises Depth by one for its lifetime: what is parsed inside hangs
+  /// one level below the node being built.
+  struct Deeper {
+    explicit Deeper(unsigned &Depth) : Depth(Depth) { ++Depth; }
+    ~Deeper() { --Depth; }
+    unsigned &Depth;
+  };
+
+  /// True when a subtree \p SubtreeHeight levels tall, rooted at the
+  /// current Depth, stays within MaxNestingDepth; otherwise reports
+  /// nesting-too-deep at \p Loc.
+  bool fitsDepth(SourceLoc Loc, unsigned SubtreeHeight = 0) {
+    if (Depth + SubtreeHeight <= MaxNestingDepth)
+      return true;
+    std::string Message = "program nests deeper than ";
+    Message += std::to_string(MaxNestingDepth);
+    Message += " levels";
+    failAt(Loc, "nesting-too-deep", std::move(Message));
+    return false;
+  }
+
+  /// Parses the single child of the node being built; afterwards Height
+  /// is the height of that node (the child's plus one).
+  template <typename T> T parseChild(T (ParserImpl::*Parse)()) {
+    Deeper Child(Depth);
+    T Node = (this->*Parse)();
+    ++Height;
+    return Node;
+  }
+
+  /// Parses the right operand of a left-deep operator chain whose height
+  /// so far is \p ChainHeight, and grows it by the new operator: every
+  /// earlier operand sinks one level, so the check runs on the whole
+  /// chain, not just on the new operand.
+  template <typename T>
+  T parseChainOperand(T (ParserImpl::*Parse)(), unsigned &ChainHeight) {
+    SourceLoc OperatorLoc = locOf(Tokens[Pos - 1]);
+    T Operand = parseChild(Parse);
+    if (!Operand)
+      return nullptr;
+    ChainHeight = std::max(ChainHeight + 1, Height);
+    if (!fitsDepth(OperatorLoc, ChainHeight))
+      return nullptr;
+    return Operand;
+  }
+
+  //===--------------------------------------------------------------------===//
   // Declarations
   //===--------------------------------------------------------------------===//
 
@@ -208,9 +260,10 @@ private:
 
   Stmt::Ptr parseBlock() {
     SourceLoc BraceLoc = here();
-    if (!expect(Token::Kind::LBrace, "'{'"))
+    if (!fitsDepth(BraceLoc) || !expect(Token::Kind::LBrace, "'{'"))
       return nullptr;
     std::vector<Stmt::Ptr> Stmts;
+    Deeper Children(Depth);
     while (!check(Token::Kind::RBrace) && !check(Token::Kind::Eof)) {
       Stmt::Ptr S = parseStmt();
       if (!S)
@@ -226,6 +279,9 @@ private:
 
   Stmt::Ptr parseStmt() {
     SourceLoc StmtLoc = here();
+    if (!fitsDepth(StmtLoc))
+      return nullptr;
+    Deeper Children(Depth);
     Stmt::Ptr S = parseStmtImpl();
     if (S)
       S->setLoc(StmtLoc);
@@ -413,7 +469,12 @@ private:
     Stmt::Ptr Else;
     if (matchKeyword("else")) {
       if (matchKeyword("if")) {
-        Else = parseIf(); // else-if chains without extra braces
+        // An else-if chain needs no extra braces; the nested if is a
+        // child of this one.
+        if (!fitsDepth(here()))
+          return nullptr;
+        Deeper Children(Depth);
+        Else = parseIf();
       } else {
         Else = parseBlock();
       }
@@ -550,34 +611,42 @@ private:
 
   Cond::Ptr parseCondOr() {
     Cond::Ptr Lhs = parseCondAnd();
+    unsigned ChainHeight = Height;
     while (Lhs && match(Token::Kind::OrOr)) {
-      Cond::Ptr Rhs = parseCondAnd();
+      Cond::Ptr Rhs = parseChainOperand(&ParserImpl::parseCondAnd,
+                                        ChainHeight);
       if (!Rhs)
         return nullptr;
       SourceLoc Loc = Lhs->loc();
       Lhs = Cond::makeOr(std::move(Lhs), std::move(Rhs));
       Lhs->setLoc(Loc);
     }
+    Height = ChainHeight;
     return Lhs;
   }
 
   Cond::Ptr parseCondAnd() {
     Cond::Ptr Lhs = parseCondUnary();
+    unsigned ChainHeight = Height;
     while (Lhs && match(Token::Kind::AndAnd)) {
-      Cond::Ptr Rhs = parseCondUnary();
+      Cond::Ptr Rhs = parseChainOperand(&ParserImpl::parseCondUnary,
+                                        ChainHeight);
       if (!Rhs)
         return nullptr;
       SourceLoc Loc = Lhs->loc();
       Lhs = Cond::makeAnd(std::move(Lhs), std::move(Rhs));
       Lhs->setLoc(Loc);
     }
+    Height = ChainHeight;
     return Lhs;
   }
 
   Cond::Ptr parseCondUnary() {
     SourceLoc Loc = here();
+    if (!fitsDepth(Loc))
+      return nullptr;
     if (match(Token::Kind::Bang)) {
-      Cond::Ptr Operand = parseCondUnary();
+      Cond::Ptr Operand = parseChild(&ParserImpl::parseCondUnary);
       if (!Operand)
         return nullptr;
       Cond::Ptr C = Cond::makeNot(std::move(Operand));
@@ -589,6 +658,7 @@ private:
 
   Cond::Ptr parseCondAtom() {
     SourceLoc Loc = here();
+    Height = 0;
     if (matchKeyword("true")) {
       Cond::Ptr C = Cond::makeTrue();
       C->setLoc(Loc);
@@ -608,7 +678,7 @@ private:
       std::string SavedError = Error;
       Diagnostic SavedDiag = Diag;
       advance();
-      Cond::Ptr Inner = parseCond();
+      Cond::Ptr Inner = parseChild(&ParserImpl::parseCond);
       if (Inner && match(Token::Kind::RParen) && !startsComparisonTail()) {
         return Inner;
       }
@@ -616,19 +686,23 @@ private:
       Error = std::move(SavedError);
       Diag = std::move(SavedDiag);
     }
-    // Comparison or Boolean variable.
-    Expr::Ptr Lhs = parseExpr();
+    // Comparison or Boolean variable; a comparison's operands are its
+    // children.
+    Expr::Ptr Lhs = parseChild(&ParserImpl::parseExpr);
     if (!Lhs)
       return nullptr;
     std::optional<CmpOp> Op = matchCmpOp();
     if (Op) {
-      Expr::Ptr Rhs = parseExpr();
+      unsigned LhsHeight = Height;
+      Expr::Ptr Rhs = parseChild(&ParserImpl::parseExpr);
       if (!Rhs)
         return nullptr;
+      Height = std::max(Height, LhsHeight);
       Cond::Ptr C = Cond::makeCmp(*Op, std::move(Lhs), std::move(Rhs));
       C->setLoc(Loc);
       return C;
     }
+    Height = 0;
     if (Lhs->kind() == Expr::Kind::Var &&
         !Current->Vars[Lhs->varIndex()].IsReal) {
       Cond::Ptr C = Cond::makeBoolVar(Lhs->varIndex());
@@ -693,52 +767,52 @@ private:
 
   Expr::Ptr parseAdditive() {
     Expr::Ptr Lhs = parseMultiplicative();
+    unsigned ChainHeight = Height;
     while (Lhs) {
-      if (match(Token::Kind::Plus)) {
-        Expr::Ptr Rhs = parseMultiplicative();
-        if (!Rhs)
-          return nullptr;
-        Lhs = makeLocatedBinary(Expr::Kind::Add, std::move(Lhs),
-                                std::move(Rhs));
-      } else if (match(Token::Kind::Minus)) {
-        Expr::Ptr Rhs = parseMultiplicative();
-        if (!Rhs)
-          return nullptr;
-        Lhs = makeLocatedBinary(Expr::Kind::Sub, std::move(Lhs),
-                                std::move(Rhs));
-      } else {
+      Expr::Kind Op;
+      if (match(Token::Kind::Plus))
+        Op = Expr::Kind::Add;
+      else if (match(Token::Kind::Minus))
+        Op = Expr::Kind::Sub;
+      else
         break;
-      }
+      Expr::Ptr Rhs = parseChainOperand(&ParserImpl::parseMultiplicative,
+                                        ChainHeight);
+      if (!Rhs)
+        return nullptr;
+      Lhs = makeLocatedBinary(Op, std::move(Lhs), std::move(Rhs));
     }
+    Height = ChainHeight;
     return Lhs;
   }
 
   Expr::Ptr parseMultiplicative() {
     Expr::Ptr Lhs = parseUnaryExpr();
+    unsigned ChainHeight = Height;
     while (Lhs) {
-      if (match(Token::Kind::Star)) {
-        Expr::Ptr Rhs = parseUnaryExpr();
-        if (!Rhs)
-          return nullptr;
-        Lhs = makeLocatedBinary(Expr::Kind::Mul, std::move(Lhs),
-                                std::move(Rhs));
-      } else if (match(Token::Kind::Slash)) {
-        Expr::Ptr Rhs = parseUnaryExpr();
-        if (!Rhs)
-          return nullptr;
-        Lhs = makeLocatedBinary(Expr::Kind::Div, std::move(Lhs),
-                                std::move(Rhs));
-      } else {
+      Expr::Kind Op;
+      if (match(Token::Kind::Star))
+        Op = Expr::Kind::Mul;
+      else if (match(Token::Kind::Slash))
+        Op = Expr::Kind::Div;
+      else
         break;
-      }
+      Expr::Ptr Rhs =
+          parseChainOperand(&ParserImpl::parseUnaryExpr, ChainHeight);
+      if (!Rhs)
+        return nullptr;
+      Lhs = makeLocatedBinary(Op, std::move(Lhs), std::move(Rhs));
     }
+    Height = ChainHeight;
     return Lhs;
   }
 
   Expr::Ptr parseUnaryExpr() {
     SourceLoc Loc = here();
+    if (!fitsDepth(Loc))
+      return nullptr;
     if (match(Token::Kind::Minus)) {
-      Expr::Ptr Operand = parseUnaryExpr();
+      Expr::Ptr Operand = parseChild(&ParserImpl::parseUnaryExpr);
       if (!Operand)
         return nullptr;
       Expr::Ptr Zero = Expr::makeNumber(Rational(0));
@@ -753,6 +827,7 @@ private:
 
   Expr::Ptr parsePrimaryExpr() {
     SourceLoc Loc = here();
+    Height = 0;
     if (check(Token::Kind::Number)) {
       const std::string &Text = advance().Text;
       std::optional<Rational> Value = Rational::parseLiteral(Text);
@@ -793,7 +868,7 @@ private:
       return E;
     }
     if (match(Token::Kind::LParen)) {
-      Expr::Ptr Inner = parseExpr();
+      Expr::Ptr Inner = parseChild(&ParserImpl::parseExpr);
       if (!Inner || !expect(Token::Kind::RParen, "')'"))
         return nullptr;
       return Inner;
@@ -857,6 +932,11 @@ private:
   size_t Pos = 0;
   Program *Current = nullptr;
   unsigned LoopDepth = 0;
+  /// Tree depth of the node being parsed (a procedure body is at 0).
+  unsigned Depth = 0;
+  /// Height of the expression or condition the last parse returned: how
+  /// many levels its deepest node sits below its root (0 for a leaf).
+  unsigned Height = 0;
   std::string Error;
   Diagnostic Diag;
 };

@@ -49,6 +49,17 @@
 namespace pmaf {
 namespace lang {
 
+/// The deepest tree the parser builds. Every node of a procedure body
+/// sits at a depth: the body block at 0, and each child one level below
+/// its parent (a block's statements, a statement's guard, branches,
+/// body and expressions, an operator's operands). A parenthesized
+/// expression or condition counts as one level although it builds no
+/// node, and a left-deep chain `a + b + ... + z` is as deep as it is
+/// long. A program with anything deeper is rejected with
+/// "nesting-too-deep", so no recursive pass over the tree — lint,
+/// lowering, the domains, destruction — can run out of stack.
+constexpr unsigned MaxNestingDepth = 512;
+
 /// Result of a parse: either a program, or a diagnostic.
 struct ParseResult {
   std::unique_ptr<Program> Prog;
@@ -59,8 +70,8 @@ struct ParseResult {
   /// "redeclared-variable", "redefined-procedure", "misplaced-jump",
   /// "prob-range", "reward-range", "interval-range", "no-procedures",
   /// "number-out-of-range" (a literal past Rational::MaxLiteralDigits or
-  /// Rational::MaxLiteralExponent) for the checks the parser performs
-  /// itself.
+  /// Rational::MaxLiteralExponent), "nesting-too-deep" (a tree deeper
+  /// than MaxNestingDepth) for the checks the parser performs itself.
   Diagnostic Diag;
 
   explicit operator bool() const { return Prog != nullptr; }

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A Session is one resident program under analysis: the parsed AST, the
-/// lowered hyper-graph, the WTO/intra-plans, the precompiled transformer
-/// cache, and the last fixpoint all stay in memory between requests, so
-/// repeated `analyze` calls pay nothing for what has not changed.
+/// lowered hyper-graph, the WTO, the precompiled transformer cache, and
+/// the last fixpoint all stay in memory between requests, so repeated
+/// `analyze` calls pay nothing for what has not changed.
 ///
 /// The incremental contract (`edit`): PMAF interpretation is
 /// compositional — per-edge transformers and per-procedure summaries are

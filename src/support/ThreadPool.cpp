@@ -2,6 +2,7 @@
 
 #include "support/ThreadPool.h"
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 

@@ -16,8 +16,8 @@
 ///  * every worker owns a bounded deque; the owner pops from the *front*
 ///    (submission order), thieves steal from the *back*;
 ///  * `post`/`submit` go to a shared injection queue any worker may take
-///    from — the classic FIFO path `parallelFor`, `ParallelBatch::run`,
-///    and anonymous tasks use;
+///    from — the classic FIFO path `parallelFor` and anonymous tasks
+///    use;
 ///  * `postTo(W, Fn)`/`submitTo(W, Fn)` pin a task to worker W's deque.
 ///    Pinned (sticky) tasks are skipped by thieves until the owning
 ///    worker is *saturated* (its deque holds >= SaturationDepth tasks) —
@@ -65,7 +65,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -161,8 +160,8 @@ public:
   /// task goes to the back of that worker's deque, the owner pops it in
   /// submission order from the front, and thieves may take it from the
   /// back only once the owner is saturated (SaturationDepth) — the
-  /// affinity primitive the per-SCC and intra-component schedulers use to
-  /// keep per-thread conversion memos hot.
+  /// affinity primitive the per-SCC scheduler uses to keep per-thread
+  /// conversion memos hot.
   void postTo(unsigned Worker, std::function<void()> Fn);
 
   /// Runs Fn(I) for every I in [Begin, End) across the workers and the
@@ -336,159 +335,6 @@ private:
   std::vector<std::thread> Threads;
   /// Enqueued-but-unfinished task count (see inFlightTasks()).
   std::atomic<uint64_t> InFlight{0};
-};
-
-/// A reusable fan-out/barrier primitive over a ThreadPool: `run(N, Fn)`
-/// executes Fn(0) … Fn(N-1) across the pool workers and the calling
-/// thread, and returns only once all N indices have finished — the
-/// barrier the intra-component parallel scheduler puts between
-/// conflict-free batches. One instance may be reused across many runs
-/// (the synchronization state is recycled; no allocation per run).
-///
-/// Two dispatch modes:
-///  * `run` — anonymous: helpers drain a shared atomic cursor, any lane
-///    may claim any index (maximum balance, no locality);
-///  * `runSticky` — affinity: index I is pinned to lane I % (workers+1),
-///    the last lane being the caller, and posted to the owning worker's
-///    deque. Because the pinning is a pure function of the index, the
-///    same unit lands on the same worker on every pass — the per-thread
-///    conversion memos stay hot across outer WTO re-iterations — while
-///    the pool's saturation stealing still rebalances a backlogged
-///    worker.
-///
-/// Deadlock discipline: only the *caller* ever waits at the barrier;
-/// helpers posted to the pool drain their work and leave. `run` must
-/// therefore not be called from inside a pool task of the same pool (a
-/// worker waiting at the barrier could starve the very helpers it waits
-/// for). The analysis engine calls it from the solve coordinator only.
-///
-/// Exceptions: the first exception an index raises is rethrown from
-/// `run`/`runSticky` after the batch has quiesced; `run` poisons the
-/// cursor so other lanes stop claiming work (`runSticky` units are
-/// pre-assigned, so the remaining units still execute).
-class ParallelBatch {
-public:
-  explicit ParallelBatch(ThreadPool &Pool) : Pool(Pool) {}
-  ParallelBatch(const ParallelBatch &) = delete;
-  ParallelBatch &operator=(const ParallelBatch &) = delete;
-
-  /// Runs the batch; returns the seconds the caller spent waiting at the
-  /// barrier after running out of indices to claim (the scheduler's
-  /// imbalance measure). Singleton or empty batches run inline and wait
-  /// for nothing.
-  template <typename F> double run(size_t Count, F &&Fn) {
-    const unsigned Helpers = static_cast<unsigned>(
-        std::min<size_t>(Pool.size(), Count ? Count - 1 : 0));
-    if (Helpers == 0) {
-      for (size_t I = 0; I != Count; ++I)
-        Fn(I);
-      return 0.0;
-    }
-    Next.store(0, std::memory_order_relaxed);
-    End = Count;
-    FirstException = nullptr;
-    Pending.store(Helpers, std::memory_order_release);
-    auto Drain = [this, &Fn] {
-      size_t I;
-      while ((I = Next.fetch_add(1, std::memory_order_relaxed)) < End) {
-        try {
-          Fn(I);
-        } catch (...) {
-          recordException(std::current_exception());
-          Next.store(End, std::memory_order_relaxed); // Poison the cursor.
-        }
-      }
-    };
-    for (unsigned H = 0; H != Helpers; ++H)
-      Pool.post([this, Drain] {
-        Drain();
-        if (Pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> Lock(DoneMutex);
-          DoneCv.notify_all();
-        }
-      });
-    Drain(); // The caller is a lane too.
-    return waitAndRethrow();
-  }
-
-  /// The affinity variant: unit I runs on lane I % (workers + 1) — lane
-  /// `workers` being the caller — with worker units posted sticky via
-  /// postTo. Same barrier and exception contract as run(); singleton or
-  /// empty batches run inline.
-  template <typename F> double runSticky(size_t Count, F &&Fn) {
-    const unsigned Workers = Pool.size();
-    if (Count <= 1 || Workers == 0) {
-      for (size_t I = 0; I != Count; ++I)
-        Fn(I);
-      return 0.0;
-    }
-    const unsigned LaneCount = Workers + 1;
-    FirstException = nullptr;
-    // Worker units: all I with I % LaneCount != Workers (lane `Workers`
-    // is the caller's).
-    unsigned WorkerUnits = 0;
-    for (size_t I = 0; I != Count; ++I)
-      WorkerUnits += (I % LaneCount) != Workers;
-    Pending.store(WorkerUnits, std::memory_order_release);
-    for (size_t I = 0; I != Count; ++I) {
-      const unsigned Lane = static_cast<unsigned>(I % LaneCount);
-      if (Lane == Workers)
-        continue; // The caller's units run below, after the fan-out.
-      Pool.postTo(Lane, [this, I, &Fn] {
-        try {
-          Fn(I);
-        } catch (...) {
-          recordException(std::current_exception());
-        }
-        if (Pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> Lock(DoneMutex);
-          DoneCv.notify_all();
-        }
-      });
-    }
-    for (size_t I = Workers; I < Count; I += LaneCount) {
-      try {
-        Fn(I);
-      } catch (...) {
-        recordException(std::current_exception());
-      }
-    }
-    return waitAndRethrow();
-  }
-
-private:
-  void recordException(std::exception_ptr E) {
-    std::lock_guard<std::mutex> Lock(ExceptionMutex);
-    if (!FirstException)
-      FirstException = E;
-  }
-
-  /// Waits for the helper lanes, rethrows the first captured exception,
-  /// and returns the seconds spent waiting.
-  double waitAndRethrow() {
-    auto WaitStart = std::chrono::steady_clock::now();
-    {
-      std::unique_lock<std::mutex> Lock(DoneMutex);
-      DoneCv.wait(Lock, [this] {
-        return Pending.load(std::memory_order_acquire) == 0;
-      });
-    }
-    double Waited = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - WaitStart)
-                        .count();
-    if (FirstException)
-      std::rethrow_exception(FirstException);
-    return Waited;
-  }
-
-  ThreadPool &Pool;
-  std::atomic<size_t> Next{0};
-  size_t End = 0;
-  std::atomic<unsigned> Pending{0};
-  std::mutex DoneMutex;
-  std::condition_variable DoneCv;
-  std::mutex ExceptionMutex;
-  std::exception_ptr FirstException;
 };
 
 namespace detail {

@@ -5,14 +5,12 @@
 // (prob-heavy, ndet-heavy, call-heavy, mixed; tests/RandomProgramGen.h) and
 // the full §6.2 BI benchmark suite — is solved under every combination of
 //
-//     {BiDomain, AddBiDomain} × {wto, parallel-scc, parallel-intra}
-//                             × jobs ∈ {1, 2, 8},
+//     {BiDomain, AddBiDomain} × {wto, parallel-scc} × jobs ∈ {1, 2, 8},
 //
 // and the posterior at main's entry under a fixed prior must be
 //
-//  * bit-identical across all nine engine combinations within one domain
-//    (the parallel determinism claim: per-SCC single-worker replay, the
-//    barrier-synchronized conflict-free intra-component batches, plus,
+//  * bit-identical across all six engine combinations within one domain
+//    (the parallel determinism claim: per-SCC single-worker replay plus,
 //    for the ADD backend, canonical migration through the home manager),
 //  * equal to 1e-9 across the two domain representations (dense matrix
 //    contraction vs ADD rename/multiply/sum-out accumulate in different
@@ -61,9 +59,6 @@ const Combo Combos[] = {
     {IterationStrategy::ParallelScc, 1},
     {IterationStrategy::ParallelScc, 2},
     {IterationStrategy::ParallelScc, 8},
-    {IterationStrategy::ParallelIntra, 1},
-    {IterationStrategy::ParallelIntra, 2},
-    {IterationStrategy::ParallelIntra, 8},
 };
 
 std::vector<double> uniformPrior(const BoolStateSpace &Space) {

@@ -130,6 +130,11 @@ TEST(LintFixtureTest, HugeLiteral) {
                      {{"number-out-of-range", 4, 8, Severity::Error}});
 }
 
+TEST(LintFixtureTest, DeepNesting) {
+  expectFixtureDiags("deep_nesting.pp",
+                     {{"nesting-too-deep", 29, 50, Severity::Error}});
+}
+
 TEST(LintFixtureTest, SignedVarDomainNeutral) {
   // Without a target domain only the degenerate choice is reported.
   expectFixtureDiags("signed_var.pp",
@@ -273,6 +278,56 @@ TEST(LintTest, NumberLiteralBounds) {
   EXPECT_EQ(CodesOf("1e99999999999999999999"), OutOfRange);
   EXPECT_EQ(CodesOf(std::string(1001, '7')), OutOfRange);
   EXPECT_EQ(CodesOf("0." + std::string(1000, '1')), OutOfRange);
+}
+
+TEST(LintTest, NestingDepthBounds) {
+  auto CodesOf = [](const std::string &Body) {
+    DiagnosticEngine Diags;
+    checkSource("real x;\nproc main() {\n" + Body + "\n}\n", Diags);
+    std::vector<std::string> Codes;
+    for (const Diagnostic &D : Diags.diagnostics())
+      Codes.push_back(D.Code);
+    return Codes;
+  };
+  auto Repeat = [](const std::string &Piece, unsigned N) {
+    std::string Out;
+    for (unsigned I = 0; I != N; ++I)
+      Out += Piece;
+    return Out;
+  };
+  auto NestedIfs = [&](unsigned N) {
+    return Repeat("if prob(1/2) {", N) + " skip; " + Repeat("}", N);
+  };
+  auto Parens = [&](unsigned N) {
+    return "x := " + Repeat("(", N) + "x" + Repeat(")", N) + ";";
+  };
+  auto Sum = [&](unsigned Terms) {
+    return "x := x" + Repeat(" + x", Terms - 1) + ";";
+  };
+  auto Negations = [&](unsigned N) {
+    return "x := " + Repeat("- ", N) + "x;";
+  };
+  using Codes = std::vector<std::string>;
+  const Codes TooDeep = {"nesting-too-deep"};
+  const unsigned Max = lang::MaxNestingDepth;
+  // The body block sits at depth 0. The n-th nested if is at 2n - 1 and
+  // its block at 2n, so the innermost skip is at 2n + 1. An assignment is
+  // at 1 and its expression at 2; every parenthesis, unary minus and
+  // further operand of the sum adds a level below that.
+  EXPECT_EQ(CodesOf(NestedIfs((Max - 1) / 2)), Codes{});
+  EXPECT_EQ(CodesOf(NestedIfs((Max - 1) / 2 + 1)), TooDeep);
+  EXPECT_EQ(CodesOf(Parens(Max - 2)), Codes{});
+  EXPECT_EQ(CodesOf(Parens(Max - 1)), TooDeep);
+  EXPECT_EQ(CodesOf(Sum(Max - 1)), Codes{});
+  EXPECT_EQ(CodesOf(Sum(Max)), TooDeep);
+  EXPECT_EQ(CodesOf(Negations(Max - 2)), Codes{});
+  EXPECT_EQ(CodesOf(Negations(Max - 1)), TooDeep);
+  // Far past the bound each shape is still one located diagnostic, not a
+  // stack overflow in the parser, the lint or the destructors.
+  EXPECT_EQ(CodesOf(NestedIfs(10'000)), TooDeep);
+  EXPECT_EQ(CodesOf(Parens(20'000)), TooDeep);
+  EXPECT_EQ(CodesOf(Sum(50'000)), TooDeep);
+  EXPECT_EQ(CodesOf(Negations(200'000)), TooDeep);
 }
 
 TEST(LintTest, WerrorPromotesWarnings) {

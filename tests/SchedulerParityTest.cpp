@@ -10,15 +10,12 @@
 // invariant: each solve calls Dom.interpret at most once per `seq` edge,
 // and only cache hits follow.
 //
-// The parallel schedulers promise more than tolerance-equality: because
+// The parallel scheduler promises more than tolerance-equality: because
 // each SCC is stabilized by a single worker replaying the sequential
-// WTO-recursive update sequence (parallel-scc), or conflict-free units of
-// one component run between barriers in an order extensionally identical
-// to the sequential sweep (parallel-intra), and cross-SCC reads only see
-// finalized upstream components, their fixpoints are *bit-identical* to
-// the WTO-recursive one. The BitIdentical* tests pin that down with exact
-// comparisons (no tolerance) across both parallel strategies, jobs in
-// {1, 2, 8}, and component->worker affinity both on and off (the
+// WTO-recursive update sequence, and cross-SCC reads only see finalized
+// upstream components, its fixpoints are *bit-identical* to the
+// WTO-recursive one. The BitIdentical* tests pin that down with exact
+// comparisons (no tolerance) across jobs in {1, 2, 8}, and component->worker affinity both on and off (the
 // work-stealing pool's placement and stealing decisions must never leak
 // into the fixpoint): Matrix::operator== for BI, double == for MDP, exact rational
 // toString for LEIA, and NodeRef identity (shared hash-consing home
@@ -63,21 +60,10 @@ constexpr IterationStrategy AllStrategies[] = {
     IterationStrategy::RoundRobin,
     IterationStrategy::Worklist,
     IterationStrategy::ParallelScc,
-    IterationStrategy::ParallelIntra,
 };
 
-/// The strategies that claim bit-identity with the WTO-recursive sweep,
-/// and the worker counts the BitIdentical* tests sweep them across.
-constexpr IterationStrategy ParallelStrategies[] = {
-    IterationStrategy::ParallelScc,
-    IterationStrategy::ParallelIntra,
-};
+/// The worker counts the BitIdentical* tests sweep parallel-scc across.
 constexpr unsigned ParallelJobCounts[] = {1, 2, 8};
-
-bool isParallel(IterationStrategy Strategy) {
-  return Strategy == IterationStrategy::ParallelScc ||
-         Strategy == IterationStrategy::ParallelIntra;
-}
 
 /// Counts the `seq` hyper-edges of \p Graph (the interpret-cache key set).
 unsigned countSeqEdges(const cfg::ProgramGraph &Graph) {
@@ -105,9 +91,9 @@ void expectParity(const char *Name, const cfg::ProgramGraph &Graph,
   for (IterationStrategy Strategy : AllStrategies) {
     decltype(auto) Dom = MakeDomain();
     Opts.Strategy = Strategy;
-    // The parallel schedulers actually run multi-threaded (for domains
+    // The parallel scheduler actually runs multi-threaded (for domains
     // that allow it); the others stay sequential.
-    Opts.Jobs = isParallel(Strategy) ? 4 : 1;
+    Opts.Jobs = Strategy == IterationStrategy::ParallelScc ? 4 : 1;
     auto Result = solve(Graph, Dom, Opts);
     ASSERT_TRUE(Result.Stats.Converged)
         << Name << " under " << toString(Strategy);
@@ -125,10 +111,10 @@ void expectParity(const char *Name, const cfg::ProgramGraph &Graph,
   }
 }
 
-/// Solves under WTO-recursive (sequential) once, then under each parallel
-/// strategy at every ParallelJobCounts worker count, and checks every
-/// parallel fixpoint is bit-identical to the sequential one under the
-/// exact predicate \p Identical (no tolerance involved).
+/// Solves under WTO-recursive (sequential) once, then under parallel-scc
+/// at every ParallelJobCounts worker count, and checks every parallel
+/// fixpoint is bit-identical to the sequential one under the exact
+/// predicate \p Identical (no tolerance involved).
 template <typename MakeDomainFn, typename IdenticalFn>
 void expectBitIdentical(const char *Name, const cfg::ProgramGraph &Graph,
                         SolverOptions Opts, MakeDomainFn MakeDomain,
@@ -139,24 +125,23 @@ void expectBitIdentical(const char *Name, const cfg::ProgramGraph &Graph,
   auto Sequential = solve(Graph, SeqDom, Opts);
   ASSERT_TRUE(Sequential.Stats.Converged) << Name;
 
-  for (IterationStrategy Strategy : ParallelStrategies)
-    for (unsigned Jobs : ParallelJobCounts)
-      for (bool Affinity : {true, false}) {
-        decltype(auto) ParDom = MakeDomain();
-        Opts.Strategy = Strategy;
-        Opts.Jobs = Jobs;
-        Opts.Affinity = Affinity;
-        auto Parallel = solve(Graph, ParDom, Opts);
-        ASSERT_TRUE(Parallel.Stats.Converged)
-            << Name << " under " << toString(Strategy) << " jobs=" << Jobs
-            << " affinity=" << (Affinity ? "on" : "off");
-        ASSERT_EQ(Sequential.Values.size(), Parallel.Values.size());
-        for (unsigned V = 0; V != Sequential.Values.size(); ++V)
-          EXPECT_TRUE(Identical(Sequential.Values[V], Parallel.Values[V]))
-              << Name << " under " << toString(Strategy) << " jobs=" << Jobs
-              << " affinity=" << (Affinity ? "on" : "off") << ": node " << V
-              << " is not bit-identical to the sequential fixpoint";
-      }
+  Opts.Strategy = IterationStrategy::ParallelScc;
+  for (unsigned Jobs : ParallelJobCounts)
+    for (bool Affinity : {true, false}) {
+      decltype(auto) ParDom = MakeDomain();
+      Opts.Jobs = Jobs;
+      Opts.Affinity = Affinity;
+      auto Parallel = solve(Graph, ParDom, Opts);
+      ASSERT_TRUE(Parallel.Stats.Converged)
+          << Name << " under parallel-scc jobs=" << Jobs
+          << " affinity=" << (Affinity ? "on" : "off");
+      ASSERT_EQ(Sequential.Values.size(), Parallel.Values.size());
+      for (unsigned V = 0; V != Sequential.Values.size(); ++V)
+        EXPECT_TRUE(Identical(Sequential.Values[V], Parallel.Values[V]))
+            << Name << " under parallel-scc jobs=" << Jobs
+            << " affinity=" << (Affinity ? "on" : "off") << ": node " << V
+            << " is not bit-identical to the sequential fixpoint";
+    }
 }
 
 } // namespace

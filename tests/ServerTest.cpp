@@ -476,6 +476,12 @@ TEST(DaemonTest, StableErrorCodes) {
         fieldString(C.request(R"({"cmd":"analyze","strategy":"warp"})"),
                     "code"),
         "invalid-flag-value");
+    // The intra-component parallel strategy is gone; its old spelling is
+    // an unknown strategy like any other.
+    EXPECT_EQ(fieldString(C.request(
+                              R"({"cmd":"analyze","strategy":"parallel-intra"})"),
+                          "code"),
+              "invalid-flag-value");
     EXPECT_EQ(fieldString(C.request(R"({"cmd":"configure","jobs":-1})"),
                           "code"),
               "invalid-flag-value");
@@ -507,6 +513,63 @@ TEST(DaemonTest, OversizedLiteralLoadKeepsTheDaemonServing) {
   TestClient Again(D.port());
   server::Json Stats = Again.request(R"({"cmd":"stats"})");
   EXPECT_TRUE(Stats.get("ok") && Stats.get("ok")->asBool()) << Stats.dump();
+  D.requestStop();
+  D.wait();
+}
+
+TEST(DaemonTest, TooDeepLoadKeepsTheDaemonServing) {
+  auto Repeat = [](const std::string &Piece, unsigned N) {
+    std::string Out;
+    for (unsigned I = 0; I != N; ++I)
+      Out += Piece;
+    return Out;
+  };
+  auto Main = [](const std::string &Body) {
+    return "real x; proc main() { " + Body + " }";
+  };
+  auto Load = [](const std::string &Source) {
+    return R"({"cmd":"load","session":"deep","source":")" + Source +
+           R"("})";
+  };
+  const unsigned Max = lang::MaxNestingDepth;
+  server::Daemon D;
+  std::string Error;
+  ASSERT_TRUE(D.start(Error)) << Error;
+  {
+    TestClient C(D.port());
+    server::Json Bad =
+        C.request(Load(Main("x := x" + Repeat(" + x", 49'999) + ";")));
+    EXPECT_FALSE(Bad.get("ok") && Bad.get("ok")->asBool());
+    EXPECT_EQ(fieldString(Bad, "code"), "parse-error");
+    EXPECT_NE(Bad.dump().find("nesting-too-deep"), std::string::npos)
+        << Bad.dump().substr(0, 400);
+    // Each shape at the bound (see LintTest.NestingDepthBounds) parses,
+    // lints, lowers, analyzes and is torn down on this connection thread.
+    for (const std::string &Body :
+         {Repeat("if prob(1/2) {", (Max - 1) / 2) + " skip; " +
+              Repeat("}", (Max - 1) / 2),
+          "x := " + Repeat("(", Max - 2) + "x" + Repeat(")", Max - 2) + ";",
+          "x := x" + Repeat(" + x", Max - 2) + ";",
+          "x := " + Repeat("- ", Max - 2) + "x;"}) {
+      server::Json AtBound = C.request(Load(Main(Body)));
+      EXPECT_TRUE(AtBound.get("ok") && AtBound.get("ok")->asBool())
+          << AtBound.dump().substr(0, 400);
+      server::Json Analyze =
+          C.request(R"({"cmd":"analyze","session":"deep"})");
+      EXPECT_TRUE(Analyze.get("ok") && Analyze.get("ok")->asBool())
+          << Analyze.dump();
+    }
+    server::Json Small = C.request(
+        R"({"cmd":"load","source":"bool x; proc main() { x ~ bernoulli(1/2); }"})");
+    EXPECT_TRUE(Small.get("ok") && Small.get("ok")->asBool())
+        << Small.dump();
+    server::Json Again = C.request(R"({"cmd":"analyze"})");
+    EXPECT_TRUE(Again.get("ok") && Again.get("ok")->asBool())
+        << Again.dump();
+    server::Json Stats = C.request(R"({"cmd":"stats"})");
+    EXPECT_TRUE(Stats.get("ok") && Stats.get("ok")->asBool())
+        << Stats.dump();
+  }
   D.requestStop();
   D.wait();
 }

@@ -145,8 +145,7 @@ TEST(SolverTest, MaxUpdatesSafetyValve) {
   cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
   for (IterationStrategy Strategy :
        {IterationStrategy::WtoRecursive, IterationStrategy::RoundRobin,
-        IterationStrategy::Worklist, IterationStrategy::ParallelScc,
-        IterationStrategy::ParallelIntra}) {
+        IterationStrategy::Worklist, IterationStrategy::ParallelScc}) {
     ReachDomain Dom;
     SolverOptions Opts;
     Opts.Strategy = Strategy;

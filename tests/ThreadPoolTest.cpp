@@ -11,10 +11,6 @@
 //    ranges much larger than the worker count;
 //  * an exception thrown by one iteration is rethrown to the caller and
 //    leaves the pool usable for later loops;
-//  * ParallelBatch — the reusable caller-participates barrier the
-//    intra-component scheduler leans on — covers every index exactly
-//    once per run, can be reused back-to-back under contention, and
-//    rethrows a unit's exception after the barrier;
 //  * the process-wide shared pool (the matrix kernels' pool) can be
 //    resized and torn back down via setSharedParallelism, resolves 0 to
 //    one worker per hardware thread, and refuses to recreate the pool
@@ -22,9 +18,8 @@
 //  * the work-stealing deques honor the locality protocol: an owner pops
 //    its pinned tasks front-first in submission order, thieves take from
 //    the back of saturated deques only (a lone pinned task waits for its
-//    busy owner), exceptions travel through stolen tasks, inFlightTasks()
-//    drains to zero under stealing, and ParallelBatch::runSticky pins the
-//    same unit to the same lane on every pass.
+//    busy owner), exceptions travel through stolen tasks, and
+//    inFlightTasks() drains to zero under stealing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -134,73 +128,6 @@ TEST(ThreadPoolTest, ParallelForRethrowsAndPoolStaysUsable) {
   // its range.
   std::atomic<size_t> Count{0};
   Pool.parallelFor(0, 100, [&](size_t) {
-    Count.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(Count.load(), 100u);
-}
-
-TEST(ThreadPoolTest, ParallelBatchCoversEveryIndexExactlyOnce) {
-  support::ThreadPool Pool(4);
-  support::ParallelBatch Batch(Pool);
-  for (size_t Count : {size_t(0), size_t(1), size_t(2), size_t(7),
-                       size_t(64), size_t(1'000)}) {
-    std::vector<std::atomic<unsigned>> Visits(Count);
-    double Waited = Batch.run(Count, [&](size_t I) {
-      Visits[I].fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_GE(Waited, 0.0);
-    for (size_t I = 0; I != Count; ++I)
-      ASSERT_EQ(Visits[I].load(), 1u)
-          << "index " << I << " of a batch of " << Count;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelBatchReusableUnderContention) {
-  // The intra-component scheduler reuses one ParallelBatch across every
-  // batch of every outer pass, on a pool that is simultaneously running
-  // unrelated work (transformer precompilation, matrix kernels). Each
-  // run's barrier must still see exactly its own units.
-  support::ThreadPool Pool(4);
-  std::atomic<uint64_t> Noise{0};
-
-  support::ParallelBatch Batch(Pool);
-  constexpr size_t Rounds = 200;
-  constexpr size_t Width = 16;
-  std::vector<std::atomic<unsigned>> Visits(Width);
-  for (size_t Round = 0; Round != Rounds; ++Round) {
-    // Unrelated (finite) tasks queued ahead of this round's helpers:
-    // they delay helper startup, so the caller lane races far ahead.
-    for (int I = 0; I != 4; ++I)
-      Pool.post([&Noise] {
-        for (int K = 0; K != 1'000; ++K)
-          Noise.fetch_add(1, std::memory_order_relaxed);
-      });
-    Batch.run(Width, [&](size_t I) {
-      Visits[I].fetch_add(1, std::memory_order_relaxed);
-    });
-    // The barrier guarantee: when run() returns, every unit of THIS
-    // round has executed — no unit of round k may still be pending when
-    // round k+1 starts.
-    for (size_t I = 0; I != Width; ++I)
-      ASSERT_EQ(Visits[I].load(), Round + 1)
-          << "round " << Round << ", unit " << I;
-  }
-  EXPECT_GT(Noise.load(), 0u);
-}
-
-TEST(ThreadPoolTest, ParallelBatchRethrowsAndStaysUsable) {
-  support::ThreadPool Pool(4);
-  support::ParallelBatch Batch(Pool);
-  EXPECT_THROW(Batch.run(100,
-                         [](size_t I) {
-                           if (I == 37)
-                             throw std::runtime_error("unit 37");
-                         }),
-               std::runtime_error);
-  // The failed batch must not wedge the barrier: the same ParallelBatch
-  // object still covers a fresh batch completely.
-  std::atomic<size_t> Count{0};
-  Batch.run(100, [&](size_t) {
     Count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(Count.load(), 100u);
@@ -530,84 +457,6 @@ TEST(ThreadPoolTest, CurrentWorkerIdentifiesOwnerAndOutsiders) {
   support::ThreadPool Other(2);
   EXPECT_EQ(Other.submit([&Pool] { return Pool.currentWorker(); }).get(),
             support::ThreadPool::NoWorker);
-}
-
-TEST(ThreadPoolTest, RunStickyCoversEveryIndexExactlyOnce) {
-  support::ThreadPool Pool(4);
-  support::ParallelBatch Batch(Pool);
-  for (size_t Count : {size_t(0), size_t(1), size_t(2), size_t(7),
-                       size_t(64), size_t(1'000)}) {
-    std::vector<std::atomic<unsigned>> Visits(Count);
-    double Waited = Batch.runSticky(Count, [&](size_t I) {
-      Visits[I].fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_GE(Waited, 0.0);
-    for (size_t I = 0; I != Count; ++I)
-      ASSERT_EQ(Visits[I].load(), 1u)
-          << "index " << I << " of a sticky batch of " << Count;
-  }
-}
-
-TEST(ThreadPoolTest, RunStickyPinsUnitsToStableLanes) {
-  // The point of runSticky: unit I is posted to lane I % (Workers + 1)
-  // with lane `Workers` being the caller, so the same unit lands on the
-  // same lane on every pass. With a single worker there is no thief, so
-  // the placement is exactly deterministic and directly observable.
-  support::ThreadPool Pool(1);
-  support::ParallelBatch Batch(Pool);
-  constexpr size_t Width = 12;
-  std::array<std::atomic<unsigned>, Width> First, Second;
-  auto Record = [&Pool](std::array<std::atomic<unsigned>, Width> &Out) {
-    return [&Out, &Pool](size_t I) {
-      Out[I].store(Pool.currentWorker(), std::memory_order_relaxed);
-    };
-  };
-  Batch.runSticky(Width, Record(First));
-  Batch.runSticky(Width, Record(Second));
-  for (size_t I = 0; I != Width; ++I) {
-    if (I % 2 == 1) { // lane 1 == Workers: the caller's share
-      EXPECT_EQ(First[I].load(), support::ThreadPool::NoWorker)
-          << "unit " << I << " belongs to the caller lane";
-    } else {
-      EXPECT_EQ(First[I].load(), 0u) << "unit " << I;
-    }
-    EXPECT_EQ(First[I].load(), Second[I].load())
-        << "unit " << I << " moved between passes";
-  }
-  EXPECT_EQ(Pool.totalSteals(), 0u);
-  EXPECT_GT(Pool.totalAffinityHits(), 0u);
-
-  // Under saturation a wider pool may steal pinned units (locality is a
-  // preference, not a correctness constraint) — but caller units always
-  // stay on the caller, and worker units never leak onto it.
-  support::ThreadPool Wide(2);
-  support::ParallelBatch WideBatch(Wide);
-  std::array<std::atomic<unsigned>, Width> Where;
-  WideBatch.runSticky(Width, [&Where, &Wide](size_t I) {
-    Where[I].store(Wide.currentWorker(), std::memory_order_relaxed);
-  });
-  for (size_t I = 0; I != Width; ++I) {
-    if (I % 3 == 2)
-      EXPECT_EQ(Where[I].load(), support::ThreadPool::NoWorker) << I;
-    else
-      EXPECT_LT(Where[I].load(), Wide.size()) << I;
-  }
-}
-
-TEST(ThreadPoolTest, RunStickyRethrowsAndStaysUsable) {
-  support::ThreadPool Pool(4);
-  support::ParallelBatch Batch(Pool);
-  EXPECT_THROW(Batch.runSticky(100,
-                               [](size_t I) {
-                                 if (I == 37)
-                                   throw std::runtime_error("sticky 37");
-                               }),
-               std::runtime_error);
-  std::atomic<size_t> Count{0};
-  Batch.runSticky(100, [&](size_t) {
-    Count.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(Count.load(), 100u);
 }
 
 TEST(ThreadPoolTest, PinnedOverflowSpillsToInjectionAndStillRuns) {

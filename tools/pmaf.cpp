@@ -4,8 +4,7 @@
 //
 //   pmaf <file.pp> [--domain=leia|bi|mdp|termination] [--decompose]
 //                  [--dot] [--stats] [--werror] [--diag-format=text|json]
-//                  [--strategy=wto|round-robin|worklist|parallel-scc|
-//                              parallel-intra]
+//                  [--strategy=wto|round-robin|worklist|parallel-scc]
 //                  [--numeric=poly|ladder|zones|intervals]
 //                  [--widening-delay=<n>] [--max-updates=<n>] [--jobs=<n>]
 //                  [--affinity=on|off]
@@ -43,18 +42,15 @@
 // node-update budget. --jobs=<n> runs the parallel engine with n worker
 // threads (0 = one per hardware thread): transformers precompile
 // concurrently, the dense-matrix kernels block-parallelize,
-// --strategy=parallel-scc stabilizes independent SCCs concurrently, and
-// --strategy=parallel-intra additionally fans conflict-free batches of a
-// single component body across the workers. --affinity=on|off (default
-// on) toggles component->worker pinning inside the parallel schedulers:
-// pinned work keeps the per-thread conversion memos hot, and the pool
-// steals it back only from a saturated owner; fixpoints are identical
-// either way.
+// and --strategy=parallel-scc stabilizes independent SCCs concurrently.
+// --affinity=on|off (default on) toggles SCC->worker pinning inside the
+// parallel scheduler: pinned work keeps the per-thread conversion memos
+// hot, and the pool steals it back only from a saturated owner; fixpoints
+// are identical either way.
 // --stats prints the instrumentation counters (core/Instrumentation.h),
 // including the interpret-cache traffic, precompile timing, the worker
-// count the solve actually used, the peak number of SCCs in flight,
-// per-worker queueing (tasks run / steals / affinity hits), and
-// the intra-component batch traffic.
+// count the solve actually used, the peak number of SCCs in flight, and
+// per-worker queueing (tasks run / steals / affinity hits).
 //
 // Every solve is followed by the checker layer (checks/Checker.h): each
 // `assert_prob` / `assert_reward` / `assert_interval` statement is judged
@@ -192,8 +188,7 @@ int usage(const char *Argv0) {
                "usage: %s <file.pp | -> [--domain=leia|bi|mdp|termination]"
                " [--decompose] [--dot] [--stats] [--werror]"
                " [--diag-format=text|json]"
-               " [--strategy=wto|round-robin|worklist|parallel-scc|"
-               "parallel-intra]"
+               " [--strategy=wto|round-robin|worklist|parallel-scc]"
                " [--numeric=poly|ladder|zones|intervals]"
                " [--widening-delay=<n>] [--max-updates=<n>] [--jobs=<n>]"
                " [--affinity=on|off]\n"
@@ -260,13 +255,6 @@ struct CliSolverConfig {
                   static_cast<unsigned long long>(Q.AffinityHits),
                   Q.BusySeconds);
     }
-    if (SolveStats.IntraBatchesRun)
-      std::printf("; intra-scc: %llu batches fanned out, widest %u, "
-                  "%.6f s at barriers\n",
-                  static_cast<unsigned long long>(
-                      SolveStats.IntraBatchesRun),
-                  SolveStats.MaxIntraBatchWidth,
-                  SolveStats.IntraBarrierWaitSeconds);
     if (!SolveStats.Converged)
       std::printf("; NOT CONVERGED: update budget exhausted after %llu "
                   "updates\n",
