@@ -11,14 +11,15 @@
 ///
 /// Binaries that opt in (pass argv through extractJsonPath) also accept
 /// `--json=<path>` and emit one record per benchmark — name, trimmed-mean
-/// seconds, and the instrumentation counters — so successive PRs can
-/// record BENCH_*.json trajectory points.
+/// seconds, and the fields of core::statsJson — so BENCH_*.json
+/// trajectory points can be recorded over time.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PMAF_BENCH_BENCHUTIL_H
 #define PMAF_BENCH_BENCHUTIL_H
 
+#include "core/Instrumentation.h"
 #include "support/NumParse.h"
 #include "support/ThreadPool.h"
 
@@ -67,37 +68,20 @@ struct BenchRecord {
   std::string Name;
   /// 20%-trimmed-mean analysis time.
   double Seconds = 0.0;
-  /// Solver instrumentation counters for one representative analysis.
-  uint64_t NodeUpdates = 0;
-  uint64_t Widenings = 0;
-  uint64_t InterpretCalls = 0;
-  uint64_t InterpretCacheHits = 0;
-  /// Numeric-layer counters (domains over the poly backends only). An
-  /// empty NumericBackend means "not recorded" and the numeric keys are
-  /// omitted from the JSON record, keeping older trajectory files and
-  /// non-numeric benches byte-compatible.
+  /// Numeric backend of a LEIA bench (empty elsewhere: no "numeric" key).
   std::string NumericBackend;
-  uint64_t ChernikovaCalls = 0;
-  uint64_t ConversionCacheHits = 0;
-  uint64_t ConversionCacheMisses = 0;
-  uint64_t Escalations = 0;
-  unsigned PeakGeneratorRows = 0;
-  unsigned MaxPackWidth = 0;
+  /// The stats of one representative analysis as a JSON object
+  /// (core::statsJson, or a pmafd reply's "stats"); its fields are
+  /// spliced into the record.
+  std::string StatsJson;
 };
 
-/// A BenchRecord of one analysis's solver counters; \p Stats is a
-/// core::SolverStats. The numeric-layer fields stay unset.
-template <typename StatsT>
-BenchRecord solverRecord(std::string Name, double Seconds,
-                         const StatsT &Stats) {
-  BenchRecord R;
-  R.Name = std::move(Name);
-  R.Seconds = Seconds;
-  R.NodeUpdates = Stats.NodeUpdates;
-  R.Widenings = Stats.WideningApplications;
-  R.InterpretCalls = Stats.InterpretCalls;
-  R.InterpretCacheHits = Stats.InterpretCacheHits;
-  return R;
+/// A BenchRecord of one analysis's solver stats.
+inline BenchRecord solverRecord(std::string Name, double Seconds,
+                                const core::SolverStats &Stats,
+                                std::string NumericBackend = {}) {
+  return {std::move(Name), Seconds, std::move(NumericBackend),
+          core::statsJson(Stats)};
 }
 
 /// Removes `--json=<path>` from argv (so google-benchmark never sees it)
@@ -193,29 +177,15 @@ public:
     std::fputs("[\n", Out);
     for (size_t I = 0; I != Records.size(); ++I) {
       const BenchRecord &R = Records[I];
-      std::fprintf(
-          Out,
-          "  {\"name\": \"%s\", \"seconds\": %.9f, \"node_updates\": %llu, "
-          "\"widenings\": %llu, \"interpret_calls\": %llu, "
-          "\"interpret_cache_hits\": %llu",
-          escape(R.Name).c_str(), R.Seconds,
-          static_cast<unsigned long long>(R.NodeUpdates),
-          static_cast<unsigned long long>(R.Widenings),
-          static_cast<unsigned long long>(R.InterpretCalls),
-          static_cast<unsigned long long>(R.InterpretCacheHits));
+      std::fprintf(Out, "  {\"name\": \"%s\", \"seconds\": %.9f",
+                   escape(R.Name).c_str(), R.Seconds);
       if (!R.NumericBackend.empty())
-        std::fprintf(
-            Out,
-            ", \"numeric\": \"%s\", \"chernikova_calls\": %llu, "
-            "\"conversion_cache_hits\": %llu, "
-            "\"conversion_cache_misses\": %llu, \"escalations\": %llu, "
-            "\"peak_generator_rows\": %u, \"max_pack_width\": %u",
-            escape(R.NumericBackend).c_str(),
-            static_cast<unsigned long long>(R.ChernikovaCalls),
-            static_cast<unsigned long long>(R.ConversionCacheHits),
-            static_cast<unsigned long long>(R.ConversionCacheMisses),
-            static_cast<unsigned long long>(R.Escalations),
-            R.PeakGeneratorRows, R.MaxPackWidth);
+        std::fprintf(Out, ", \"numeric\": \"%s\"",
+                     escape(R.NumericBackend).c_str());
+      // Splice the stats object's fields in after the record's own.
+      if (R.StatsJson.size() > 2)
+        std::fprintf(Out, ", %.*s", int(R.StatsJson.size() - 2),
+                     R.StatsJson.c_str() + 1);
       std::fprintf(Out, "}%s\n", I + 1 == Records.size() ? "" : ",");
     }
     std::fputs("]\n", Out);

@@ -5,15 +5,14 @@
 // recursive strategy over the weak topological order. This ablation
 // compares it against the other two schedulers of core/Schedule.h — a
 // naive round-robin sweep and the dependency-driven worklist — on the
-// benchmark programs, counting node updates via the instrumentation
-// layer. Same fixpoints (tests/SchedulerParityTest.cpp), different work.
+// benchmark programs, counting node updates in the solver's stats. Same
+// fixpoints (tests/SchedulerParityTest.cpp), different work.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "benchmarks/Programs.h"
 #include "cfg/HyperGraph.h"
-#include "core/Instrumentation.h"
 #include "core/Solver.h"
 #include "domains/BiDomain.h"
 #include "domains/MdpDomain.h"
@@ -28,25 +27,20 @@ using namespace pmaf::domains;
 namespace {
 
 template <PreMarkovAlgebra D>
-SolverInstrumentation runWith(const cfg::ProgramGraph &Graph, D &Dom,
-                              IterationStrategy Strategy,
-                              SolverOptions Base) {
-  SolverInstrumentation Counters;
+SolverStats runWith(const cfg::ProgramGraph &Graph, D &Dom,
+                    IterationStrategy Strategy, SolverOptions Base) {
   Base.Strategy = Strategy;
-  solve(Graph, Dom, Base, &Counters);
-  return Counters;
+  return solve(Graph, Dom, Base).Stats;
 }
 
 template <PreMarkovAlgebra D>
 void printRow(const char *Program, const char *Domain,
               const cfg::ProgramGraph &Graph, D &Dom,
               const SolverOptions &Opts) {
-  SolverInstrumentation Wto =
-      runWith(Graph, Dom, IterationStrategy::WtoRecursive, Opts);
-  SolverInstrumentation RoundRobin =
+  SolverStats Wto = runWith(Graph, Dom, IterationStrategy::WtoRecursive, Opts);
+  SolverStats RoundRobin =
       runWith(Graph, Dom, IterationStrategy::RoundRobin, Opts);
-  SolverInstrumentation Worklist =
-      runWith(Graph, Dom, IterationStrategy::Worklist, Opts);
+  SolverStats Worklist = runWith(Graph, Dom, IterationStrategy::Worklist, Opts);
   std::printf("%-18s %-6s | %10llu | %10llu | %10llu | %6.2fx | %6.2fx\n",
               Program, Domain,
               static_cast<unsigned long long>(Wto.NodeUpdates),

@@ -113,17 +113,8 @@ int runTable(const std::string &JsonPath) {
           analyzeOnce<NumV>(Graph, *Prog);
       double Seconds =
           bench::timedTrimmedMean([&] { analyzeOnce<NumV>(Graph, *Prog); });
-      bench::BenchRecord Record =
-          bench::solverRecord(Bench.Name, Seconds, Result.Stats);
-      Record.NumericBackend = toString(BenchNumeric);
-      Record.ChernikovaCalls = Result.Stats.Numeric.MinimizationCalls;
-      Record.ConversionCacheHits = Result.Stats.Numeric.ConversionCacheHits;
-      Record.ConversionCacheMisses =
-          Result.Stats.Numeric.ConversionCacheMisses;
-      Record.Escalations = Result.Stats.Numeric.Escalations;
-      Record.PeakGeneratorRows = Result.Stats.Numeric.PeakGeneratorRows;
-      Record.MaxPackWidth = Result.Stats.Numeric.MaxPackWidth;
-      Json.add(std::move(Record));
+      Json.add(bench::solverRecord(Bench.Name, Seconds, Result.Stats,
+                                   toString(BenchNumeric)));
       LeiaDomainT<NumV> Dom(*Prog);
       unsigned Entry = Graph.proc(Prog->findProc("main")).Entry;
       std::vector<std::string> Invariants =

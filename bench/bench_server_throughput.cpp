@@ -127,17 +127,11 @@ uint64_t field(const server::Json &Obj, const char *Outer,
   return I ? I->asUnsigned().value_or(0) : 0;
 }
 
-/// A BenchRecord filled from an analyze reply's "stats" object.
+/// A BenchRecord carrying an analyze reply's "stats" object.
 bench::BenchRecord record(std::string Name, double Seconds,
                           const server::Json &Reply) {
-  bench::BenchRecord R;
-  R.Name = std::move(Name);
-  R.Seconds = Seconds;
-  R.NodeUpdates = field(Reply, "stats", "node_updates");
-  R.Widenings = field(Reply, "stats", "widenings");
-  R.InterpretCalls = field(Reply, "stats", "interpret_calls");
-  R.InterpretCacheHits = field(Reply, "stats", "interpret_cache_hits");
-  return R;
+  const server::Json *Stats = Reply.get("stats");
+  return {std::move(Name), Seconds, {}, Stats ? Stats->dump() : "{}"};
 }
 
 /// The program of seed \p SeedA with procedure \p P's body spliced in

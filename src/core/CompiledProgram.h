@@ -50,7 +50,6 @@
 #include "cfg/HyperGraph.h"
 #include "cfg/Wto.h"
 #include "core/Domain.h"
-#include "core/Instrumentation.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -69,9 +68,8 @@ template <PreMarkovAlgebra D> class CompiledProgram {
 public:
   using Value = typename D::Value;
 
-  CompiledProgram(const cfg::ProgramGraph &Graph, D &Dom,
-                  SolverObserver *Observer = nullptr)
-      : Graph(Graph), Dom(Dom), Observer(Observer),
+  CompiledProgram(const cfg::ProgramGraph &Graph, D &Dom)
+      : Graph(Graph), Dom(Dom),
         Dependents(Graph.dependenceSuccessors()),
         Transformers(Graph.edges().size()) {
     // Iteration order: WTO of the dependence graph, rooted at the exits
@@ -85,10 +83,6 @@ public:
 
   const cfg::ProgramGraph &graph() const { return Graph; }
   D &domain() { return Dom; }
-
-  /// Redirects event reporting (nullptr silences it). The solver facade
-  /// points this at the observer of the current solve.
-  void setObserver(SolverObserver *NewObserver) { Observer = NewObserver; }
 
   /// Dependence successors (Eqn 2): dependents()[u] lists the nodes whose
   /// inequality right-hand side mentions S(u).
@@ -123,8 +117,7 @@ public:
   /// The abstract transformer of `seq` hyper-edge \p EdgeIndex; interprets
   /// the edge's data action on first request and serves the cached value
   /// afterwards. Concurrent first requests are serialized per slot, so
-  /// exactly one thread interprets and the rest observe a cache hit; with
-  /// a thread pool in play, onInterpret may fire from worker threads.
+  /// exactly one thread interprets and the rest count a cache hit.
   const Value &transformer(unsigned EdgeIndex) {
     Slot &S = Transformers[EdgeIndex];
     bool Interpreted = false;
@@ -136,15 +129,8 @@ public:
           Dom.interpret(Graph.edges()[EdgeIndex].Ctrl.DataAction));
       Interpreted = true;
     });
-    if (Interpreted) {
-      InterpretCallCount.fetch_add(1, std::memory_order_relaxed);
-      if (Observer)
-        Observer->onInterpret(EdgeIndex, /*CacheHit=*/false);
-    } else {
-      InterpretCacheHitCount.fetch_add(1, std::memory_order_relaxed);
-      if (Observer)
-        Observer->onInterpret(EdgeIndex, /*CacheHit=*/true);
-    }
+    (Interpreted ? InterpretCallCount : InterpretCacheHitCount)
+        .fetch_add(1, std::memory_order_relaxed);
     return *S.Stored;
   }
 
@@ -331,7 +317,6 @@ private:
 
   const cfg::ProgramGraph &Graph;
   D &Dom;
-  SolverObserver *Observer = nullptr;
   std::vector<std::vector<unsigned>> Dependents;
   std::vector<Slot> Transformers;
   cfg::Wto Order;

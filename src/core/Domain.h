@@ -95,7 +95,7 @@ template <typename D> consteval bool threadSafeInterpret() {
 /// Opt-in reporting of numeric-layer counters: a domain built on the
 /// poly backends may expose the process-wide conversion/escalation
 /// counters (poly::numericCounters) as a snapshot, and the solver then
-/// attributes per-solve deltas to SolverStats and the observer stream.
+/// attributes per-solve deltas to SolverStats::Numeric.
 /// The method is static — the counters are a property of the numeric
 /// layer, not of one domain instance.
 template <typename D>

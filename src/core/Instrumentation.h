@@ -1,38 +1,32 @@
-//===- core/Instrumentation.h - Solver observation layer --------*- C++ -*-===//
+//===- core/Instrumentation.h - The solver's stats record -------*- C++ -*-===//
 //
 // Part of the PMAF reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The instrumentation layer of the analysis engine: an observer interface
-/// for the events the solver and its sibling layers emit (node updates,
-/// widening applications, component stabilizations, interpret-cache
-/// traffic), plus a stock timing/counter implementation.
+/// What one solve did, in one record (SolverStats), and its two
+/// renderings: the `key=value` text of `pmaf --stats` and the JSON object
+/// of pmafd's `analyze` replies and the bench harness's `--json` records.
+/// Both renderers walk the same field table (visitStatsFields), so a
+/// counter added there shows up in every channel at once.
 ///
-/// Observation is strictly passive — observers cannot influence the
-/// fixpoint computation — so any number of measurement harnesses (the CLI's
-/// `--stats`, the bench binaries' JSON emitters, future tracing backends)
-/// can share the single hook without touching the solver or the domains.
-///
-/// **Concurrency.** When the solver runs with a thread pool (Jobs > 1),
-/// per-node and per-edge callbacks — onNodeUpdate, onWidening,
-/// onComponentStabilized, onInterpret — may arrive concurrently from
-/// worker threads; observers must make those handlers data-race free.
-/// Begin/end bracket events (onSolveBegin, onPrecompileEnd, onSolveEnd)
-/// always come from the coordinating thread, before workers start or
-/// after they quiesce. The stock SolverInstrumentation below is safe.
+/// SolverInstrumentation sums the headline counters over many solves; the
+/// solver adds each finished solve's record to it once.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PMAF_CORE_INSTRUMENTATION_H
 #define PMAF_CORE_INSTRUMENTATION_H
 
+#include "support/ThreadPool.h"
+
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace pmaf {
 namespace core {
@@ -63,254 +57,203 @@ struct NumericLayerStats {
   unsigned MaxPackWidth = 0;
 };
 
-/// Receiver for solver events. All callbacks default to no-ops so an
-/// observer only overrides what it measures. Node ids index the program
-/// hyper-graph; edge ids index ProgramGraph::edges().
-class SolverObserver {
-public:
-  virtual ~SolverObserver() = default;
-
-  /// An analysis over \p NumNodes nodes is starting.
-  virtual void onSolveBegin(unsigned NumNodes) { (void)NumNodes; }
-
-  /// The analysis finished; \p Converged is false iff the update budget
-  /// (SolverOptions::MaxUpdates) was exhausted first.
-  virtual void onSolveEnd(bool Converged) { (void)Converged; }
-
-  /// Node \p Node was re-evaluated; \p Changed iff its value moved.
-  virtual void onNodeUpdate(unsigned Node, bool Changed) {
-    (void)Node;
-    (void)Changed;
-  }
-
-  /// A widening operator was applied at widening point \p Node.
-  virtual void onWidening(unsigned Node) { (void)Node; }
-
-  /// The WTO component headed by \p Head stabilized after \p Passes
-  /// passes over its body (recursive scheduler only).
-  virtual void onComponentStabilized(unsigned Head, unsigned Passes) {
-    (void)Head;
-    (void)Passes;
-  }
-
-  /// The transformer of `seq` edge \p EdgeIndex was requested; \p CacheHit
-  /// is false exactly when Dom.interpret ran (at most once per edge per
-  /// compiled program — the interpret-cache invariant). May fire from a
-  /// pool worker during parallel precompilation or a parallel solve.
-  virtual void onInterpret(unsigned EdgeIndex, bool CacheHit) {
-    (void)EdgeIndex;
-    (void)CacheHit;
-  }
-
-  /// The up-front transformer precompilation pass finished: the cache now
-  /// covers all \p Transformers `seq` edges, after \p Seconds of wall
-  /// clock. Emitted (from the coordinating thread, before iteration
-  /// begins) only when the solve requested precompilation (Jobs > 1).
-  virtual void onPrecompileEnd(unsigned Transformers, double Seconds) {
-    (void)Transformers;
-    (void)Seconds;
-  }
-
-  /// The solve finished over a domain that reports numeric-layer counters
-  /// (core/Domain.h); \p Stats holds this solve's deltas (peaks are
-  /// high-water marks since the harness last reset them). Emitted from
-  /// the coordinating thread, right before onSolveEnd.
-  virtual void onNumericLayer(const NumericLayerStats &Stats) {
-    (void)Stats;
-  }
-
-  /// The solve's pool queueing totals: \p TasksRun tasks executed across
-  /// the per-solve pool's workers, of which \p Steals were taken from
-  /// another worker's deque and \p AffinityHits were pinned tasks run by
-  /// their owner. One aggregate event per parallel solve, emitted from
-  /// the coordinating thread after the pool quiesces — deliberately not a
-  /// per-steal callback, which would put an observer virtual call on the
-  /// stealing fast path.
-  virtual void onPoolQueue(uint64_t TasksRun, uint64_t Steals,
-                           uint64_t AffinityHits) {
-    (void)TasksRun;
-    (void)Steals;
-    (void)AffinityHits;
-  }
+/// Everything one solve reports.
+struct SolverStats {
+  /// False iff the update budget (MaxUpdates) ran out first, in which
+  /// case Values is a mid-iteration snapshot, not a post-fixpoint —
+  /// callers must not report it as the analysis answer.
+  bool Converged = true;
+  uint64_t NodeUpdates = 0;
+  /// The node updates that moved the node's value.
+  uint64_t ValueChanges = 0;
+  uint64_t WideningApplications = 0;
+  /// WTO components stabilized (the recursive and parallel schedulers).
+  uint64_t ComponentStabilizations = 0;
+  /// Wall-clock seconds of the whole solve.
+  double SolveSeconds = 0.0;
+  /// Dom.interpret invocations during this solve. At most one per `seq`
+  /// edge — the interpret-cache invariant — and zero for every edge whose
+  /// transformer an earlier solve over the same CompiledProgram already
+  /// compiled.
+  uint64_t InterpretCalls = 0;
+  /// Transformer-cache hits during this solve.
+  uint64_t InterpretCacheHits = 0;
+  /// `seq` edges covered by the up-front precompilation pass (zero when
+  /// the solve was lazy, i.e. Jobs == 1).
+  uint64_t PrecompiledTransformers = 0;
+  /// Wall-clock seconds of the precompilation pass.
+  double PrecompileSeconds = 0.0;
+  /// Worker threads the solve actually used (1 = sequential, either by
+  /// request or because the domain is not ThreadSafeInterpret).
+  unsigned JobsUsed = 1;
+  /// High-water mark of simultaneously in-flight SCC stabilizations under
+  /// the ParallelScc scheduler (1 for every sequential strategy) — the
+  /// observed, not theoretical, SCC-level parallelism of the solve.
+  unsigned MaxParallelSccs = 1;
+  /// Queueing of the per-solve pool, per worker (empty for sequential
+  /// solves; precompilation fan-out included). Steals low and affinity
+  /// hits high is the locality protocol working; steals high means the
+  /// SCC structure is too imbalanced for pinning and the pool is
+  /// rebalancing instead. Utilization over the solve is the summed
+  /// BusySeconds / (JobsUsed * SolveSeconds).
+  std::vector<support::ThreadPool::WorkerQueueStats> PoolWorkers;
+  /// Numeric-layer counters for domains that report them (all-zero
+  /// otherwise): per-solve deltas of the monotone counters, current
+  /// high-water marks for the peaks (reset via poly::resetNumericPeaks).
+  NumericLayerStats Numeric;
+  /// Warm-start accounting (zero on cold solves). NodesReused counts the
+  /// frozen nodes whose prior values were kept verbatim; SccsSkipped /
+  /// SccsResolved partition the WTO's components (at every nesting depth)
+  /// into all-clean ones — stabilized in one trivial pass without a
+  /// single domain operation — and ones containing dirty nodes.
+  uint64_t NodesReused = 0;
+  uint64_t SccsSkipped = 0;
+  uint64_t SccsResolved = 0;
 };
 
-/// The stock timing/counter observer: tallies every event and the
-/// wall-clock time between onSolveBegin and onSolveEnd. Counters
-/// accumulate across solves; reset() starts a fresh measurement.
-///
-/// The per-event tallies are atomics (relaxed increments — they are
-/// independent counters, not synchronization), so this observer may be
-/// handed to a parallel solve as-is. The timing fields stay plain: they
-/// are only touched by the bracket events, which the solver emits from
-/// the coordinating thread.
-class SolverInstrumentation : public SolverObserver {
-public:
+/// The field table: calls Field(Group, Key, Value) for every scalar
+/// counter of \p S, in rendering order. Value is a bool, an integer
+/// count, or a double of seconds. The text renderer prints one line per
+/// Group; the JSON renderer ignores groups. Pool totals are sums over
+/// S.PoolWorkers, which visitWorkerFields renders worker by worker.
+template <typename F> void visitStatsFields(const SolverStats &S, F &&Field) {
+  support::ThreadPool::WorkerQueueStats Pool;
+  for (const support::ThreadPool::WorkerQueueStats &W : S.PoolWorkers)
+    Pool += W;
+  const NumericLayerStats &N = S.Numeric;
+  Field("solve", "converged", S.Converged);
+  Field("solve", "node_updates", S.NodeUpdates);
+  Field("solve", "value_changes", S.ValueChanges);
+  Field("solve", "widenings", S.WideningApplications);
+  Field("solve", "components_stabilized", S.ComponentStabilizations);
+  Field("solve", "solve_seconds", S.SolveSeconds);
+  Field("interpret", "interpret_calls", S.InterpretCalls);
+  Field("interpret", "interpret_cache_hits", S.InterpretCacheHits);
+  Field("interpret", "precompiled_transformers", S.PrecompiledTransformers);
+  Field("interpret", "precompile_seconds", S.PrecompileSeconds);
+  Field("parallel", "jobs_used", uint64_t(S.JobsUsed));
+  Field("parallel", "max_parallel_sccs", uint64_t(S.MaxParallelSccs));
+  Field("parallel", "pool_tasks_run", Pool.TasksRun);
+  Field("parallel", "pool_steals", Pool.Steals);
+  Field("parallel", "pool_affinity_hits", Pool.AffinityHits);
+  Field("parallel", "thread_busy_seconds", Pool.BusySeconds);
+  Field("numeric", "chernikova_calls", N.MinimizationCalls);
+  Field("numeric", "peak_generator_rows", uint64_t(N.PeakGeneratorRows));
+  Field("numeric", "conversion_cache_hits", N.ConversionCacheHits);
+  Field("numeric", "conversion_cache_misses", N.ConversionCacheMisses);
+  Field("numeric", "shared_l2_hits", N.SharedCacheHits);
+  Field("numeric", "cache_evictions", N.CacheEvictions);
+  Field("numeric", "escalations", N.Escalations);
+  Field("numeric", "max_pack_width", uint64_t(N.MaxPackWidth));
+  Field("warm start", "nodes_reused", S.NodesReused);
+  Field("warm start", "sccs_skipped", S.SccsSkipped);
+  Field("warm start", "sccs_resolved", S.SccsResolved);
+}
+
+/// The per-worker rows of the table: Field(Key, Value) for one entry of
+/// SolverStats::PoolWorkers.
+template <typename F>
+void visitWorkerFields(const support::ThreadPool::WorkerQueueStats &W,
+                       F &&Field) {
+  Field("tasks_run", W.TasksRun);
+  Field("steals", W.Steals);
+  Field("affinity_hits", W.AffinityHits);
+  Field("busy_seconds", W.BusySeconds);
+}
+
+namespace detail {
+/// Appends one table value: counts in decimal, seconds with nine
+/// decimals, flags as true/false.
+inline void appendStatsValue(std::string &Out, uint64_t V) {
+  Out += std::to_string(V);
+}
+inline void appendStatsValue(std::string &Out, double V) {
+  char Buffer[32];
+  std::snprintf(Buffer, sizeof(Buffer), "%.9f", V);
+  Out += Buffer;
+}
+inline void appendStatsValue(std::string &Out, bool V) {
+  Out += V ? "true" : "false";
+}
+} // namespace detail
+
+/// The text rendering (`pmaf --stats`): one `; <group>: key=value ...`
+/// line per table group, then one `; worker <i>: ...` line per pool
+/// worker.
+inline std::string statsText(const SolverStats &S) {
+  std::string Out;
+  auto Append = [&Out](const char *Key, auto Value) {
+    Out += ' ';
+    Out += Key;
+    Out += '=';
+    detail::appendStatsValue(Out, Value);
+  };
+  std::string_view Group;
+  visitStatsFields(S, [&](std::string_view G, const char *Key, auto Value) {
+    if (G != Group) {
+      Out += Group.empty() ? "; " : "\n; ";
+      Out += G;
+      Out += ':';
+      Group = G;
+    }
+    Append(Key, Value);
+  });
+  Out += '\n';
+  for (size_t I = 0; I != S.PoolWorkers.size(); ++I) {
+    Out += "; worker " + std::to_string(I) + ':';
+    visitWorkerFields(S.PoolWorkers[I], Append);
+    Out += '\n';
+  }
+  return Out;
+}
+
+/// The JSON rendering (pmafd `analyze` replies, bench `--json` records):
+/// one flat object of the table's fields plus a `pool_workers` array of
+/// per-worker objects.
+inline std::string statsJson(const SolverStats &S) {
+  std::string Out = "{";
+  auto Append = [&Out](const char *Key, auto Value) {
+    if (Out.back() != '{')
+      Out += ", ";
+    Out += '"';
+    Out += Key;
+    Out += "\": ";
+    detail::appendStatsValue(Out, Value);
+  };
+  visitStatsFields(S, [&](const char *, const char *Key, auto Value) {
+    Append(Key, Value);
+  });
+  Out += ", \"pool_workers\": [";
+  for (size_t I = 0; I != S.PoolWorkers.size(); ++I) {
+    Out += I ? ", {" : "{";
+    visitWorkerFields(S.PoolWorkers[I], Append);
+    Out += '}';
+  }
+  Out += "]}";
+  return Out;
+}
+
+/// Sums the headline counters over many solves: solve(..., &Counters)
+/// adds each finished solve's record once, at its end. Atomic, so solves
+/// on several threads may share one accumulator.
+struct SolverInstrumentation {
   std::atomic<uint64_t> Solves{0};
   std::atomic<uint64_t> NodeUpdates{0};
-  std::atomic<uint64_t> ValueChanges{0};
   std::atomic<uint64_t> WideningApplications{0};
-  std::atomic<uint64_t> ComponentStabilizations{0};
   std::atomic<uint64_t> InterpretCalls{0};
   std::atomic<uint64_t> InterpretCacheHits{0};
-  double SolveSeconds = 0.0;
-  /// Wall clock and coverage of the up-front precompilation passes
-  /// (zero unless some solve ran with Jobs > 1).
-  double PrecompileSeconds = 0.0;
-  uint64_t PrecompiledTransformers = 0;
-  bool LastConverged = true;
-  /// Numeric-layer counters summed over observed solves (peaks take the
-  /// max); all-zero unless some solve's domain reports them.
-  NumericLayerStats Numeric;
-  /// Pool queueing aggregates summed over parallel solves (onPoolQueue);
-  /// all-zero for sequential runs.
-  std::atomic<uint64_t> PoolTasksRun{0};
-  std::atomic<uint64_t> PoolSteals{0};
-  std::atomic<uint64_t> PoolAffinityHits{0};
+  std::atomic<bool> LastConverged{true};
 
-  SolverInstrumentation() = default;
-  /// Copyable despite the atomics (snapshot semantics) so harnesses can
-  /// return instrumentation by value; take the snapshot only while no
-  /// solve is running.
-  SolverInstrumentation(const SolverInstrumentation &Other)
-      : SolverObserver(Other) {
-    copyFrom(Other);
-  }
-  SolverInstrumentation &operator=(const SolverInstrumentation &Other) {
-    copyFrom(Other);
-    return *this;
-  }
-
-  void onSolveBegin(unsigned) override {
-    Start = std::chrono::steady_clock::now();
-  }
-  void onSolveEnd(bool Converged) override {
-    SolveSeconds += std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
+  void add(const SolverStats &S) {
     Solves.fetch_add(1, std::memory_order_relaxed);
-    LastConverged = Converged;
+    NodeUpdates.fetch_add(S.NodeUpdates, std::memory_order_relaxed);
+    WideningApplications.fetch_add(S.WideningApplications,
+                                   std::memory_order_relaxed);
+    InterpretCalls.fetch_add(S.InterpretCalls, std::memory_order_relaxed);
+    InterpretCacheHits.fetch_add(S.InterpretCacheHits,
+                                 std::memory_order_relaxed);
+    LastConverged.store(S.Converged, std::memory_order_relaxed);
   }
-  void onNodeUpdate(unsigned, bool Changed) override {
-    NodeUpdates.fetch_add(1, std::memory_order_relaxed);
-    if (Changed)
-      ValueChanges.fetch_add(1, std::memory_order_relaxed);
-  }
-  void onWidening(unsigned) override {
-    WideningApplications.fetch_add(1, std::memory_order_relaxed);
-  }
-  void onComponentStabilized(unsigned, unsigned) override {
-    ComponentStabilizations.fetch_add(1, std::memory_order_relaxed);
-  }
-  void onInterpret(unsigned, bool CacheHit) override {
-    if (CacheHit)
-      InterpretCacheHits.fetch_add(1, std::memory_order_relaxed);
-    else
-      InterpretCalls.fetch_add(1, std::memory_order_relaxed);
-  }
-  void onPrecompileEnd(unsigned Transformers, double Seconds) override {
-    PrecompiledTransformers += Transformers;
-    PrecompileSeconds += Seconds;
-  }
-  void onNumericLayer(const NumericLayerStats &Stats) override {
-    // Coordinating-thread event (like the other brackets), so plain
-    // read-modify-write is fine.
-    Numeric.MinimizationCalls += Stats.MinimizationCalls;
-    Numeric.ConversionCacheHits += Stats.ConversionCacheHits;
-    Numeric.ConversionCacheMisses += Stats.ConversionCacheMisses;
-    Numeric.SharedCacheHits += Stats.SharedCacheHits;
-    Numeric.CacheEvictions += Stats.CacheEvictions;
-    Numeric.Escalations += Stats.Escalations;
-    if (Stats.PeakGeneratorRows > Numeric.PeakGeneratorRows)
-      Numeric.PeakGeneratorRows = Stats.PeakGeneratorRows;
-    if (Stats.MaxPackWidth > Numeric.MaxPackWidth)
-      Numeric.MaxPackWidth = Stats.MaxPackWidth;
-  }
-  void onPoolQueue(uint64_t TasksRun, uint64_t Steals,
-                   uint64_t AffinityHits) override {
-    PoolTasksRun.fetch_add(TasksRun, std::memory_order_relaxed);
-    PoolSteals.fetch_add(Steals, std::memory_order_relaxed);
-    PoolAffinityHits.fetch_add(AffinityHits, std::memory_order_relaxed);
-  }
-
-  void reset() { *this = SolverInstrumentation(); }
-
-  /// Multi-line human-readable dump (the CLI's `--stats` body).
-  std::string report() const {
-    char Buffer[640];
-    std::snprintf(
-        Buffer, sizeof(Buffer),
-        "; solver: %llu updates (%llu changed), %llu widenings, "
-        "%llu components stabilized, converged=%s\n"
-        "; interpret cache: %llu misses (= distinct seq edges evaluated), "
-        "%llu hits\n"
-        "; wall clock: %.6f s over %llu solve(s)\n",
-        static_cast<unsigned long long>(NodeUpdates.load()),
-        static_cast<unsigned long long>(ValueChanges.load()),
-        static_cast<unsigned long long>(WideningApplications.load()),
-        static_cast<unsigned long long>(ComponentStabilizations.load()),
-        LastConverged ? "yes" : "NO",
-        static_cast<unsigned long long>(InterpretCalls.load()),
-        static_cast<unsigned long long>(InterpretCacheHits.load()),
-        SolveSeconds, static_cast<unsigned long long>(Solves.load()));
-    std::string Out = Buffer;
-    if (PrecompiledTransformers > 0) {
-      std::snprintf(Buffer, sizeof(Buffer),
-                    "; precompile: %llu transformers in %.6f s\n",
-                    static_cast<unsigned long long>(PrecompiledTransformers),
-                    PrecompileSeconds);
-      Out += Buffer;
-    }
-    if (uint64_t Tasks = PoolTasksRun.load()) {
-      std::snprintf(
-          Buffer, sizeof(Buffer),
-          "; pool queue: %llu tasks run, %llu steals, %llu affinity "
-          "hits\n",
-          static_cast<unsigned long long>(Tasks),
-          static_cast<unsigned long long>(PoolSteals.load()),
-          static_cast<unsigned long long>(PoolAffinityHits.load()));
-      Out += Buffer;
-    }
-    if (Numeric.MinimizationCalls > 0 || Numeric.ConversionCacheHits > 0) {
-      std::snprintf(
-          Buffer, sizeof(Buffer),
-          "; numeric layer: %llu Chernikova minimizations (peak %u "
-          "generator rows), conversion cache %llu hits / %llu misses "
-          "(%llu shared-L2 hits, %llu evictions)\n"
-          "; ladder: %llu escalations, max pack width %u\n",
-          static_cast<unsigned long long>(Numeric.MinimizationCalls),
-          Numeric.PeakGeneratorRows,
-          static_cast<unsigned long long>(Numeric.ConversionCacheHits),
-          static_cast<unsigned long long>(Numeric.ConversionCacheMisses),
-          static_cast<unsigned long long>(Numeric.SharedCacheHits),
-          static_cast<unsigned long long>(Numeric.CacheEvictions),
-          static_cast<unsigned long long>(Numeric.Escalations),
-          Numeric.MaxPackWidth);
-      Out += Buffer;
-    }
-    return Out;
-  }
-
-private:
-  void copyFrom(const SolverInstrumentation &Other) {
-    Solves.store(Other.Solves.load());
-    NodeUpdates.store(Other.NodeUpdates.load());
-    ValueChanges.store(Other.ValueChanges.load());
-    WideningApplications.store(Other.WideningApplications.load());
-    ComponentStabilizations.store(Other.ComponentStabilizations.load());
-    InterpretCalls.store(Other.InterpretCalls.load());
-    InterpretCacheHits.store(Other.InterpretCacheHits.load());
-    SolveSeconds = Other.SolveSeconds;
-    PrecompileSeconds = Other.PrecompileSeconds;
-    PrecompiledTransformers = Other.PrecompiledTransformers;
-    LastConverged = Other.LastConverged;
-    PoolTasksRun.store(Other.PoolTasksRun.load());
-    PoolSteals.store(Other.PoolSteals.load());
-    PoolAffinityHits.store(Other.PoolAffinityHits.load());
-    Numeric = Other.Numeric;
-    Start = Other.Start;
-  }
-
-  std::chrono::steady_clock::time_point Start;
 };
 
 } // namespace core

@@ -43,11 +43,11 @@
 #define PMAF_CORE_SCHEDULE_H
 
 #include "cfg/Wto.h"
-#include "core/Instrumentation.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -94,8 +94,6 @@ struct ScheduleContext {
   std::function<bool(unsigned)> Update;
   /// True once the update budget is exhausted; schedulers must stop.
   std::function<bool()> Exhausted;
-  /// Optional event sink (component-stabilization events originate here).
-  SolverObserver *Observer = nullptr;
   /// WTO linearization positions (Order->positions()), computed once per
   /// solve by the facade so position-keyed schedulers need not recompute
   /// the O(n) flattening on every run.
@@ -121,6 +119,9 @@ struct ScheduleContext {
   /// reports it as SolverStats::MaxParallelSccs). Ignored by sequential
   /// schedulers.
   std::atomic<unsigned> *MaxParallelSccs = nullptr;
+  /// Optional out-param: stabilizeElement counts each stabilized WTO
+  /// component into it (SolverStats::ComponentStabilizations).
+  std::atomic<uint64_t> *ComponentStabilizations = nullptr;
 };
 
 /// Interface all chaotic-iteration schedulers implement.
@@ -145,9 +146,7 @@ inline void stabilizeElement(const ScheduleContext &Ctx,
     Ctx.Update(Element.Node);
     return;
   }
-  unsigned Passes = 0;
   while (!Ctx.Exhausted()) {
-    ++Passes;
     bool Changed = Ctx.Update(Element.Node);
     for (const cfg::WtoElement &Child : Element.Body)
       stabilizeElement(Ctx, Child);
@@ -158,8 +157,8 @@ inline void stabilizeElement(const ScheduleContext &Ctx,
     if (!Changed && !Ctx.Update(Element.Node))
       break;
   }
-  if (Ctx.Observer)
-    Ctx.Observer->onComponentStabilized(Element.Node, Passes);
+  if (Ctx.ComponentStabilizations)
+    Ctx.ComponentStabilizations->fetch_add(1, std::memory_order_relaxed);
 }
 
 /// Bourdoncle's recursive iteration strategy: stabilize the top-level

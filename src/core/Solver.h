@@ -25,7 +25,8 @@
 ///   * core/Schedule.h — pluggable iteration strategies (WTO-recursive,
 ///     round-robin, dependency-driven worklist, parallel per-SCC) behind a
 ///     domain-free Scheduler interface;
-///   * core/Instrumentation.h — passive observers of solver events.
+///   * core/Instrumentation.h — the per-solve stats record (SolverStats)
+///     and its text and JSON renderings.
 ///
 /// The facade itself owns what is neither program structure nor iteration
 /// order: the value vector, widening (at widening points the operator is
@@ -169,62 +170,6 @@ template <typename ValueT> struct WarmStart {
   std::vector<char> Dirty;
 };
 
-/// Counters reported by the solver (a built-in summary; richer event
-/// streams go through the SolverObserver passed to solve()).
-struct SolverStats {
-  uint64_t NodeUpdates = 0;
-  uint64_t WideningApplications = 0;
-  /// Dom.interpret invocations during this solve. At most one per `seq`
-  /// edge — the interpret-cache invariant — and zero for every edge whose
-  /// transformer an earlier solve over the same CompiledProgram already
-  /// compiled.
-  uint64_t InterpretCalls = 0;
-  /// Transformer-cache hits during this solve.
-  uint64_t InterpretCacheHits = 0;
-  /// `seq` edges covered by the up-front precompilation pass (zero when
-  /// the solve was lazy, i.e. Jobs == 1).
-  uint64_t PrecompiledTransformers = 0;
-  /// Wall-clock seconds of the precompilation pass.
-  double PrecompileSeconds = 0.0;
-  /// Cumulative busy seconds across pool workers; utilization over the
-  /// whole solve is ThreadBusySeconds / (JobsUsed * wall seconds).
-  double ThreadBusySeconds = 0.0;
-  /// Worker threads the solve actually used (1 = sequential, either by
-  /// request or because the domain is not ThreadSafeInterpret).
-  unsigned JobsUsed = 1;
-  /// High-water mark of simultaneously in-flight SCC stabilizations under
-  /// the ParallelScc scheduler (1 for every sequential strategy) — the
-  /// observed, not theoretical, SCC-level parallelism of the solve.
-  unsigned MaxParallelSccs = 1;
-  /// Pool queueing for the solve (all zero for sequential solves): tasks
-  /// executed across workers, tasks taken from another worker's deque,
-  /// and pinned tasks run by their owning worker. Steals low and
-  /// affinity hits high is the locality protocol working; steals high
-  /// means the SCC/batch structure is too imbalanced for pinning and the
-  /// pool is rebalancing instead.
-  uint64_t PoolTasksRun = 0;
-  uint64_t PoolSteals = 0;
-  uint64_t PoolAffinityHits = 0;
-  /// Per-worker breakdown of the same counters (index = worker).
-  std::vector<support::ThreadPool::WorkerQueueStats> PoolWorkers;
-  /// Numeric-layer counters for domains that report them (all-zero
-  /// otherwise): per-solve deltas of the monotone counters, current
-  /// high-water marks for the peaks (reset via poly::resetNumericPeaks).
-  NumericLayerStats Numeric;
-  /// Warm-start accounting (zero on cold solves). NodesReused counts the
-  /// frozen nodes whose prior values were kept verbatim; SccsSkipped /
-  /// SccsResolved partition the WTO's components (at every nesting depth)
-  /// into all-clean ones — stabilized in one trivial pass without a
-  /// single domain operation — and ones containing dirty nodes.
-  uint64_t NodesReused = 0;
-  uint64_t SccsSkipped = 0;
-  uint64_t SccsResolved = 0;
-  /// False iff the update budget (MaxUpdates) ran out first, in which
-  /// case Values is a mid-iteration snapshot, not a post-fixpoint —
-  /// callers must not report it as the analysis answer.
-  bool Converged = true;
-};
-
 /// The solution of the inequality system plus iteration statistics.
 template <typename ValueT> struct AnalysisResult {
   /// Per-node transformer-to-exit; index with hyper-graph node ids.
@@ -235,29 +180,28 @@ template <typename ValueT> struct AnalysisResult {
 /// Solves the inequality system for an already-compiled program. The
 /// compiled program's transformer cache survives the call, so repeated
 /// solves (e.g. timed re-analyses) interpret each `seq` edge exactly once
-/// overall. \p Observer, when non-null, receives every solver event.
-/// \p Warm, when non-null and sized for the graph, warm-starts the solve
-/// from a prior fixpoint: clean nodes keep their values untouched, only
-/// the dirty (dependence-closed) region iterates — see WarmStart.
+/// overall. \p Counters, when non-null, accumulates the solve's stats
+/// once it finishes. \p Warm, when non-null and sized for the graph,
+/// warm-starts the solve from a prior fixpoint: clean nodes keep their
+/// values untouched, only the dirty (dependence-closed) region iterates —
+/// see WarmStart.
 template <PreMarkovAlgebra D>
 AnalysisResult<typename D::Value>
 solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
-      SolverObserver *Observer = nullptr,
+      SolverInstrumentation *Counters = nullptr,
       const WarmStart<typename D::Value> *Warm = nullptr) {
   using Value = typename D::Value;
+  const auto SolveStart = std::chrono::steady_clock::now();
 
   const cfg::ProgramGraph &Graph = Compiled.graph();
   D &Dom = Compiled.domain();
   const unsigned NumNodes = Graph.numNodes();
 
-  Compiled.setObserver(Observer);
   const uint64_t InterpretCallsBefore = Compiled.interpretCalls();
   const uint64_t InterpretHitsBefore = Compiled.interpretCacheHits();
   NumericLayerStats NumericBefore;
   if constexpr (ReportsNumericStats<D>)
     NumericBefore = D::numericStats();
-  if (Observer)
-    Observer->onSolveBegin(NumNodes);
 
   AnalysisResult<Value> Result;
   // Warm start: adopt the prior fixpoint wholesale, then reset the dirty
@@ -316,10 +260,6 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       PrecompileStart)
             .count();
-    if (Observer)
-      Observer->onPrecompileEnd(
-          static_cast<unsigned>(Result.Stats.PrecompiledTransformers),
-          Result.Stats.PrecompileSeconds);
   }
 
   std::vector<unsigned> UpdateCount(NumNodes, 0);
@@ -328,7 +268,9 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   // several workers at once; relaxed ordering suffices — these are pure
   // counters, and the scheduler orders the value vector itself.
   std::atomic<uint64_t> NodeUpdates{0};
+  std::atomic<uint64_t> ValueChanges{0};
   std::atomic<uint64_t> WideningApplications{0};
+  std::atomic<uint64_t> ComponentStabilizations{0};
   std::atomic<bool> Converged{true};
 
   // Updates node V; returns true if its value changed. Safe to call
@@ -358,8 +300,6 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
     ++UpdateCount[V];
     if (Widen) {
       WideningApplications.fetch_add(1, std::memory_order_relaxed);
-      if (Observer)
-        Observer->onWidening(V);
       const Value &Old = Result.Values[V];
       if (Opts.UnifiedWidening) {
         New = Dom.widenNdet(Old, New);
@@ -392,11 +332,9 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
         }
       }
     }
-    bool Changed = !Dom.equal(Result.Values[V], New);
-    if (Observer)
-      Observer->onNodeUpdate(V, Changed);
-    if (!Changed)
+    if (Dom.equal(Result.Values[V], New))
       return false;
+    ValueChanges.fetch_add(1, std::memory_order_relaxed);
     Result.Values[V] = std::move(New);
     return true;
   };
@@ -416,7 +354,7 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   Ctx.Exhausted = [&Converged] {
     return !Converged.load(std::memory_order_relaxed);
   };
-  Ctx.Observer = Observer;
+  Ctx.ComponentStabilizations = &ComponentStabilizations;
   Ctx.Pool = Pool.get();
   Ctx.ParallelSafe = ParallelSafe;
   Ctx.Affinity = Opts.Affinity;
@@ -426,8 +364,11 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   Result.Stats.MaxParallelSccs =
       MaxParallelSccs.load(std::memory_order_relaxed);
   Result.Stats.NodeUpdates = NodeUpdates.load(std::memory_order_relaxed);
+  Result.Stats.ValueChanges = ValueChanges.load(std::memory_order_relaxed);
   Result.Stats.WideningApplications =
       WideningApplications.load(std::memory_order_relaxed);
+  Result.Stats.ComponentStabilizations =
+      ComponentStabilizations.load(std::memory_order_relaxed);
   Result.Stats.Converged = Converged.load(std::memory_order_relaxed);
   // Warm-start reuse accounting: frozen nodes, and the component-level
   // split of the WTO into all-clean (skipped) and dirty (re-resolved)
@@ -451,20 +392,10 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
       Compiled.interpretCalls() - InterpretCallsBefore;
   Result.Stats.InterpretCacheHits =
       Compiled.interpretCacheHits() - InterpretHitsBefore;
-  if (Pool) {
-    for (double Busy : Pool->workerBusySeconds())
-      Result.Stats.ThreadBusySeconds += Busy;
-    // The pool is per-solve, so its lifetime totals are this solve's
-    // queueing story (precompilation fan-out included).
+  // The pool is per-solve, so its lifetime counters are this solve's
+  // queueing story (precompilation fan-out included).
+  if (Pool)
     Result.Stats.PoolWorkers = Pool->workerQueueStats();
-    Result.Stats.PoolTasksRun = Pool->totalTasksRun();
-    Result.Stats.PoolSteals = Pool->totalSteals();
-    Result.Stats.PoolAffinityHits = Pool->totalAffinityHits();
-    if (Observer)
-      Observer->onPoolQueue(Result.Stats.PoolTasksRun,
-                            Result.Stats.PoolSteals,
-                            Result.Stats.PoolAffinityHits);
-  }
   if constexpr (ReportsNumericStats<D>) {
     NumericLayerStats Now = D::numericStats();
     Result.Stats.Numeric.MinimizationCalls =
@@ -481,11 +412,13 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
         Now.Escalations - NumericBefore.Escalations;
     Result.Stats.Numeric.PeakGeneratorRows = Now.PeakGeneratorRows;
     Result.Stats.Numeric.MaxPackWidth = Now.MaxPackWidth;
-    if (Observer)
-      Observer->onNumericLayer(Result.Stats.Numeric);
   }
-  if (Observer)
-    Observer->onSolveEnd(Result.Stats.Converged);
+  Result.Stats.SolveSeconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() -
+                                  SolveStart)
+                                  .count();
+  if (Counters)
+    Counters->add(Result.Stats);
   return Result;
 }
 
@@ -496,9 +429,10 @@ template <PreMarkovAlgebra D>
 AnalysisResult<typename D::Value> solve(const cfg::ProgramGraph &Graph,
                                         D &Dom,
                                         const SolverOptions &Opts = {},
-                                        SolverObserver *Observer = nullptr) {
-  CompiledProgram<D> Compiled(Graph, Dom, Observer);
-  return solve(Compiled, Opts, Observer);
+                                        SolverInstrumentation *Counters =
+                                            nullptr) {
+  CompiledProgram<D> Compiled(Graph, Dom);
+  return solve(Compiled, Opts, Counters);
 }
 
 } // namespace core

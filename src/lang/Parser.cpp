@@ -49,7 +49,17 @@ std::optional<Rational> evalConstant(const Expr &E) {
 class ParserImpl {
 public:
   explicit ParserImpl(const std::string &Source)
-      : Tokens(tokenize(Source)) {}
+      : Tokens(tokenize(Source)), ClosingParen(Tokens.size(), NoMatch) {
+    std::vector<size_t> Open;
+    for (size_t I = 0; I != Tokens.size(); ++I) {
+      if (Tokens[I].TheKind == Token::Kind::LParen) {
+        Open.push_back(I);
+      } else if (Tokens[I].TheKind == Token::Kind::RParen && !Open.empty()) {
+        ClosingParen[Open.back()] = I;
+        Open.pop_back();
+      }
+    }
+  }
 
   ParseResult run() {
     ParseResult Result;
@@ -288,141 +298,156 @@ private:
     return S;
   }
 
+  /// Dispatches on the statement's first token. Each statement kind is
+  /// parsed by its own function, so the frame that recurses through
+  /// nested blocks (parseStmt → here → parseIf/parseWhile → parseBlock)
+  /// holds none of the other kinds' locals.
   Stmt::Ptr parseStmtImpl() {
-    if (matchKeyword("skip")) {
-      if (!expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      return Stmt::makeSkip();
-    }
-    if (checkKeyword("break")) {
-      SourceLoc Loc = here();
-      advance();
-      if (LoopDepth == 0) {
-        failAt(Loc, "misplaced-jump", "'break' outside of a loop");
-        return nullptr;
-      }
-      if (!expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      return Stmt::makeBreak();
-    }
-    if (checkKeyword("continue")) {
-      SourceLoc Loc = here();
-      advance();
-      if (LoopDepth == 0) {
-        failAt(Loc, "misplaced-jump", "'continue' outside of a loop");
-        return nullptr;
-      }
-      if (!expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      return Stmt::makeContinue();
-    }
-    if (matchKeyword("return")) {
-      if (!expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      return Stmt::makeReturn();
-    }
-    if (matchKeyword("observe")) {
-      if (!expect(Token::Kind::LParen, "'('"))
-        return nullptr;
-      Cond::Ptr Phi = parseCond();
-      if (!Phi || !expect(Token::Kind::RParen, "')'") ||
-          !expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      return Stmt::makeObserve(std::move(Phi));
-    }
-    if (matchKeyword("reward")) {
-      if (!expect(Token::Kind::LParen, "'('"))
-        return nullptr;
-      SourceLoc AmountLoc = here();
-      std::optional<Rational> Amount = parseConstant();
-      if (!Amount || !expect(Token::Kind::RParen, "')'") ||
-          !expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      if (Amount->sign() < 0) {
-        failAt(AmountLoc, "reward-range", "rewards must be nonnegative");
-        return nullptr;
-      }
-      return Stmt::makeReward(std::move(*Amount));
-    }
-    if (matchKeyword("assert_prob")) {
-      if (!expect(Token::Kind::LParen, "'('"))
-        return nullptr;
-      Cond::Ptr Phi = parseCond();
-      if (!Phi || !expect(Token::Kind::RParen, "')'"))
-        return nullptr;
-      SourceLoc OpLoc = here();
-      std::optional<CmpOp> Op = matchCmpOp();
-      if (!Op || (*Op != CmpOp::Ge && *Op != CmpOp::Le)) {
-        failAt(OpLoc, "parse-error",
-               "expected '>=' or '<=' after assert_prob(...)");
-        return nullptr;
-      }
-      SourceLoc BoundLoc = here();
-      std::optional<Rational> Bound = parseConstant();
-      if (!Bound || !expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      if (Bound->sign() < 0 || *Bound > Rational(1)) {
-        failAt(BoundLoc, "prob-range",
-               "asserted probability must lie in [0, 1]");
-        return nullptr;
-      }
-      return Stmt::makeAssertProb(std::move(Phi), *Op, std::move(*Bound));
-    }
-    if (matchKeyword("assert_reward")) {
-      SourceLoc OpLoc = here();
-      std::optional<CmpOp> Op = matchCmpOp();
-      if (!Op || (*Op != CmpOp::Ge && *Op != CmpOp::Le)) {
-        failAt(OpLoc, "parse-error",
-               "expected '>=' or '<=' after assert_reward");
-        return nullptr;
-      }
-      SourceLoc BoundLoc = here();
-      std::optional<Rational> Bound = parseConstant();
-      if (!Bound || !expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      if (Bound->sign() < 0) {
-        failAt(BoundLoc, "reward-range",
-               "asserted reward bound must be nonnegative");
-        return nullptr;
-      }
-      return Stmt::makeAssertReward(*Op, std::move(*Bound));
-    }
-    if (matchKeyword("assert_interval")) {
-      if (!expect(Token::Kind::LParen, "'('"))
-        return nullptr;
-      Expr::Ptr Target = parseExpr();
-      if (!Target || !expect(Token::Kind::Comma, "','"))
-        return nullptr;
-      std::optional<Rational> Lo = parseConstant();
-      if (!Lo || !expect(Token::Kind::Comma, "','"))
-        return nullptr;
-      SourceLoc HiLoc = here();
-      std::optional<Rational> Hi = parseConstant();
-      if (!Hi || !expect(Token::Kind::RParen, "')'") ||
-          !expect(Token::Kind::Semi, "';'"))
-        return nullptr;
-      if (*Hi < *Lo) {
-        failAt(HiLoc, "interval-range",
-               "asserted interval is empty: upper bound " + Hi->toString() +
-                   " is below lower bound " + Lo->toString());
-        return nullptr;
-      }
-      return Stmt::makeAssertInterval(std::move(Target), std::move(*Lo),
-                                      std::move(*Hi));
-    }
+    if (matchKeyword("skip"))
+      return expectSemi() ? Stmt::makeSkip() : nullptr;
+    if (checkKeyword("break") || checkKeyword("continue"))
+      return parseJump();
+    if (matchKeyword("return"))
+      return expectSemi() ? Stmt::makeReturn() : nullptr;
+    if (matchKeyword("observe"))
+      return parseObserve();
+    if (matchKeyword("reward"))
+      return parseReward();
+    if (matchKeyword("assert_prob"))
+      return parseAssertProb();
+    if (matchKeyword("assert_reward"))
+      return parseAssertReward();
+    if (matchKeyword("assert_interval"))
+      return parseAssertInterval();
     if (matchKeyword("if"))
       return parseIf();
-    if (matchKeyword("while")) {
-      Guard G;
-      if (!parseGuard(G))
-        return nullptr;
-      ++LoopDepth;
-      Stmt::Ptr Body = parseBlock();
-      --LoopDepth;
-      if (!Body)
-        return nullptr;
-      return Stmt::makeWhile(std::move(G), std::move(Body));
+    if (matchKeyword("while"))
+      return parseWhile();
+    return parseIdentStmt();
+  }
+
+  bool expectSemi() { return expect(Token::Kind::Semi, "';'"); }
+
+  Stmt::Ptr parseJump() {
+    SourceLoc Loc = here();
+    bool IsBreak = advance().Text == "break";
+    if (LoopDepth == 0) {
+      failAt(Loc, "misplaced-jump",
+             IsBreak ? "'break' outside of a loop"
+                     : "'continue' outside of a loop");
+      return nullptr;
     }
+    if (!expectSemi())
+      return nullptr;
+    return IsBreak ? Stmt::makeBreak() : Stmt::makeContinue();
+  }
+
+  Stmt::Ptr parseObserve() {
+    if (!expect(Token::Kind::LParen, "'('"))
+      return nullptr;
+    Cond::Ptr Phi = parseCond();
+    if (!Phi || !expect(Token::Kind::RParen, "')'") || !expectSemi())
+      return nullptr;
+    return Stmt::makeObserve(std::move(Phi));
+  }
+
+  Stmt::Ptr parseReward() {
+    if (!expect(Token::Kind::LParen, "'('"))
+      return nullptr;
+    SourceLoc AmountLoc = here();
+    std::optional<Rational> Amount = parseConstant();
+    if (!Amount || !expect(Token::Kind::RParen, "')'") || !expectSemi())
+      return nullptr;
+    if (Amount->sign() < 0) {
+      failAt(AmountLoc, "reward-range", "rewards must be nonnegative");
+      return nullptr;
+    }
+    return Stmt::makeReward(std::move(*Amount));
+  }
+
+  Stmt::Ptr parseAssertProb() {
+    if (!expect(Token::Kind::LParen, "'('"))
+      return nullptr;
+    Cond::Ptr Phi = parseCond();
+    if (!Phi || !expect(Token::Kind::RParen, "')'"))
+      return nullptr;
+    SourceLoc OpLoc = here();
+    std::optional<CmpOp> Op = matchCmpOp();
+    if (!Op || (*Op != CmpOp::Ge && *Op != CmpOp::Le)) {
+      failAt(OpLoc, "parse-error",
+             "expected '>=' or '<=' after assert_prob(...)");
+      return nullptr;
+    }
+    SourceLoc BoundLoc = here();
+    std::optional<Rational> Bound = parseConstant();
+    if (!Bound || !expectSemi())
+      return nullptr;
+    if (Bound->sign() < 0 || *Bound > Rational(1)) {
+      failAt(BoundLoc, "prob-range",
+             "asserted probability must lie in [0, 1]");
+      return nullptr;
+    }
+    return Stmt::makeAssertProb(std::move(Phi), *Op, std::move(*Bound));
+  }
+
+  Stmt::Ptr parseAssertReward() {
+    SourceLoc OpLoc = here();
+    std::optional<CmpOp> Op = matchCmpOp();
+    if (!Op || (*Op != CmpOp::Ge && *Op != CmpOp::Le)) {
+      failAt(OpLoc, "parse-error",
+             "expected '>=' or '<=' after assert_reward");
+      return nullptr;
+    }
+    SourceLoc BoundLoc = here();
+    std::optional<Rational> Bound = parseConstant();
+    if (!Bound || !expectSemi())
+      return nullptr;
+    if (Bound->sign() < 0) {
+      failAt(BoundLoc, "reward-range",
+             "asserted reward bound must be nonnegative");
+      return nullptr;
+    }
+    return Stmt::makeAssertReward(*Op, std::move(*Bound));
+  }
+
+  Stmt::Ptr parseAssertInterval() {
+    if (!expect(Token::Kind::LParen, "'('"))
+      return nullptr;
+    Expr::Ptr Target = parseExpr();
+    if (!Target || !expect(Token::Kind::Comma, "','"))
+      return nullptr;
+    std::optional<Rational> Lo = parseConstant();
+    if (!Lo || !expect(Token::Kind::Comma, "','"))
+      return nullptr;
+    SourceLoc HiLoc = here();
+    std::optional<Rational> Hi = parseConstant();
+    if (!Hi || !expect(Token::Kind::RParen, "')'") || !expectSemi())
+      return nullptr;
+    if (*Hi < *Lo) {
+      failAt(HiLoc, "interval-range",
+             "asserted interval is empty: upper bound " + Hi->toString() +
+                 " is below lower bound " + Lo->toString());
+      return nullptr;
+    }
+    return Stmt::makeAssertInterval(std::move(Target), std::move(*Lo),
+                                    std::move(*Hi));
+  }
+
+  Stmt::Ptr parseWhile() {
+    Guard G;
+    if (!parseGuard(G))
+      return nullptr;
+    ++LoopDepth;
+    Stmt::Ptr Body = parseBlock();
+    --LoopDepth;
+    if (!Body)
+      return nullptr;
+    return Stmt::makeWhile(std::move(G), std::move(Body));
+  }
+
+  /// A statement that starts with an identifier: a call, an assignment
+  /// or a sample.
+  Stmt::Ptr parseIdentStmt() {
     if (!check(Token::Kind::Ident)) {
       fail("expected a statement");
       return nullptr;
@@ -431,8 +456,7 @@ private:
     std::string Name = advance().Text;
     if (match(Token::Kind::LParen)) {
       // Procedure call.
-      if (!expect(Token::Kind::RParen, "')'") ||
-          !expect(Token::Kind::Semi, "';'"))
+      if (!expect(Token::Kind::RParen, "')'") || !expectSemi())
         return nullptr;
       return Stmt::makeCall(std::move(Name));
     }
@@ -444,13 +468,13 @@ private:
     }
     if (match(Token::Kind::Assign)) {
       Expr::Ptr Value = parseExpr();
-      if (!Value || !expect(Token::Kind::Semi, "';'"))
+      if (!Value || !expectSemi())
         return nullptr;
       return Stmt::makeAssign(VarIndex, std::move(Value));
     }
     if (match(Token::Kind::Tilde)) {
       std::optional<Dist> D = parseDist();
-      if (!D || !expect(Token::Kind::Semi, "';'"))
+      if (!D || !expectSemi())
         return nullptr;
       return Stmt::makeSample(VarIndex, std::move(*D));
     }
@@ -669,19 +693,29 @@ private:
       C->setLoc(Loc);
       return C;
     }
-    if (check(Token::Kind::LParen)) {
-      // Ambiguity: '(' may open a nested condition or a parenthesized
-      // arithmetic operand of a comparison. Try the condition reading
-      // first; backtrack on failure (tokens are pre-lexed, so this is a
-      // cheap position reset).
+    // Ambiguity: '(' may open a nested condition or a parenthesized
+    // arithmetic operand of a comparison. An operator after the matching
+    // ')' makes it an operand, parsed below as an expression without a
+    // condition attempt. Otherwise try the condition reading and
+    // backtrack on failure (tokens are pre-lexed, so this is a cheap
+    // position reset). Where that attempt fails inside an enclosing
+    // attempt, the operand reading fails as well, so it is left to the
+    // outermost failed attempt: each parenthesis level is reparsed as an
+    // expression at most once, not once per enclosing level.
+    if (check(Token::Kind::LParen) &&
+        (ClosingParen[Pos] == NoMatch ||
+         !startsComparisonTail(Tokens[ClosingParen[Pos] + 1]))) {
       size_t Saved = Pos;
       std::string SavedError = Error;
       Diagnostic SavedDiag = Diag;
       advance();
+      ++Speculating;
       Cond::Ptr Inner = parseChild(&ParserImpl::parseCond);
-      if (Inner && match(Token::Kind::RParen) && !startsComparisonTail()) {
+      --Speculating;
+      if (Inner && match(Token::Kind::RParen))
         return Inner;
-      }
+      if (Speculating)
+        return nullptr;
       Pos = Saved;
       Error = std::move(SavedError);
       Diag = std::move(SavedDiag);
@@ -713,10 +747,10 @@ private:
     return nullptr;
   }
 
-  /// After a successfully parsed parenthesized condition, a comparison
-  /// operator means we actually saw a parenthesized arithmetic operand.
-  bool startsComparisonTail() const {
-    switch (peek().TheKind) {
+  /// After a parenthesized group, a comparison or arithmetic operator
+  /// means the group is an arithmetic operand, not a condition.
+  static bool startsComparisonTail(const Token &Next) {
+    switch (Next.TheKind) {
     case Token::Kind::EqEq:
     case Token::Kind::NotEq:
     case Token::Kind::LessEq:
@@ -929,9 +963,16 @@ private:
   }
 
   std::vector<Token> Tokens;
+  /// ClosingParen[i]: index of the ')' matching the '(' at token i
+  /// (NoMatch for other tokens and unbalanced parentheses).
+  static constexpr size_t NoMatch = ~size_t(0);
+  std::vector<size_t> ClosingParen;
   size_t Pos = 0;
   Program *Current = nullptr;
   unsigned LoopDepth = 0;
+  /// Enclosing parenthesized-condition attempts in progress
+  /// (parseCondAtom).
+  unsigned Speculating = 0;
   /// Tree depth of the node being parsed (a procedure body is at 0).
   unsigned Depth = 0;
   /// Height of the expression or condition the last parse returned: how

@@ -6,6 +6,7 @@
 
 #include "server/Daemon.h"
 
+#include "core/Instrumentation.h"
 #include "core/Schedule.h"
 #include "server/Protocol.h"
 #include "support/ThreadPool.h"
@@ -69,30 +70,6 @@ Json reuseToJson(const IncrementalReuse &Reuse) {
   R.set("sccs_resolved", Json::number(Reuse.SccsResolved));
   R.set("nodes_reused", Json::number(Reuse.NodesReused));
   R.set("nodes_total", Json::number(Reuse.NodesTotal));
-  return R;
-}
-
-Json statsToJson(const core::SolverStats &S) {
-  Json R = Json::object();
-  R.set("node_updates", Json::number(S.NodeUpdates));
-  R.set("widenings", Json::number(S.WideningApplications));
-  R.set("interpret_calls", Json::number(S.InterpretCalls));
-  R.set("interpret_cache_hits", Json::number(S.InterpretCacheHits));
-  R.set("precompiled_transformers", Json::number(S.PrecompiledTransformers));
-  R.set("jobs_used", Json::number(uint64_t(S.JobsUsed)));
-  R.set("max_parallel_sccs", Json::number(uint64_t(S.MaxParallelSccs)));
-  R.set("pool_tasks_run", Json::number(S.PoolTasksRun));
-  R.set("pool_steals", Json::number(S.PoolSteals));
-  R.set("pool_affinity_hits", Json::number(S.PoolAffinityHits));
-  R.set("thread_busy_seconds", Json::number(S.ThreadBusySeconds));
-  Json Numeric = Json::object();
-  Numeric.set("minimization_calls", Json::number(S.Numeric.MinimizationCalls));
-  Numeric.set("conversion_cache_hits",
-              Json::number(S.Numeric.ConversionCacheHits));
-  Numeric.set("conversion_cache_misses",
-              Json::number(S.Numeric.ConversionCacheMisses));
-  Numeric.set("escalations", Json::number(S.Numeric.Escalations));
-  R.set("numeric", Numeric);
   return R;
 }
 
@@ -361,9 +338,12 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
       Pool.set("parallelism",
                Json::number(uint64_t(support::sharedParallelism())));
       if (const support::ThreadPool *P = support::sharedPool()) {
-        Pool.set("tasks_run", Json::number(P->totalTasksRun()));
-        Pool.set("steals", Json::number(P->totalSteals()));
-        Pool.set("affinity_hits", Json::number(P->totalAffinityHits()));
+        support::ThreadPool::WorkerQueueStats Total;
+        for (const auto &W : P->workerQueueStats())
+          Total += W;
+        Pool.set("tasks_run", Json::number(Total.TasksRun));
+        Pool.set("steals", Json::number(Total.Steals));
+        Pool.set("affinity_hits", Json::number(Total.AffinityHits));
       }
       R.set("pool", Pool);
       return R.dump();
@@ -425,7 +405,7 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
     R.set("fingerprint", Json::string(AR.Fingerprint));
     R.set("solve_seconds", Json::number(AR.SolveSeconds));
     R.set("reuse", reuseToJson(AR.Reuse));
-    R.set("stats", statsToJson(AR.Stats));
+    R.set("stats", Json::raw(core::statsJson(AR.Stats)));
     if (!AR.ChecksJson.empty())
       R.set("checks", Json::raw(AR.ChecksJson));
     if (!AR.DiagnosticsJson.empty())

@@ -17,7 +17,6 @@
 #include "lang/Parser.h"
 #include "support/Diagnostics.h"
 
-#include <chrono>
 #include <cstdio>
 #include <utility>
 
@@ -335,13 +334,9 @@ public:
       Warm.Values = LastValues;
       Warm.Dirty = Dirty;
     }
-    const auto Start = std::chrono::steady_clock::now();
     auto Result =
         core::solve(*Compiled, Opts, nullptr, UseWarm ? &Warm : nullptr);
-    Reply.SolveSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-            .count();
-
+    Reply.SolveSeconds = Result.Stats.SolveSeconds;
     Reply.Stats = Result.Stats;
     Reply.Converged = Result.Stats.Converged;
     Reply.Reuse.Incremental = UseWarm;

@@ -108,7 +108,7 @@ struct AnalyzeReply {
   std::string DiagnosticsJson;
   core::SolverStats Stats;
   IncrementalReuse Reuse;
-  /// Wall-clock seconds of the solve itself.
+  /// Wall-clock seconds of the solve itself (= Stats.SolveSeconds).
   double SolveSeconds = 0.0;
 };
 

@@ -218,35 +218,6 @@ ThreadPool::workerQueueStats() const {
   return Stats;
 }
 
-uint64_t ThreadPool::totalTasksRun() const {
-  uint64_t Total = 0;
-  for (unsigned I = 0; I != NumLanes; ++I)
-    Total += Lanes[I].TasksRun.load(std::memory_order_relaxed);
-  return Total;
-}
-
-uint64_t ThreadPool::totalSteals() const {
-  uint64_t Total = 0;
-  for (unsigned I = 0; I != NumLanes; ++I)
-    Total += Lanes[I].Steals.load(std::memory_order_relaxed);
-  return Total;
-}
-
-uint64_t ThreadPool::totalAffinityHits() const {
-  uint64_t Total = 0;
-  for (unsigned I = 0; I != NumLanes; ++I)
-    Total += Lanes[I].AffinityHits.load(std::memory_order_relaxed);
-  return Total;
-}
-
-std::vector<double> ThreadPool::workerBusySeconds() const {
-  std::vector<double> Seconds(NumLanes, 0.0);
-  for (unsigned I = 0; I != NumLanes; ++I)
-    Seconds[I] =
-        Lanes[I].BusyNanos.load(std::memory_order_relaxed) * 1e-9;
-  return Seconds;
-}
-
 uint64_t pmaf::support::detail::nextWorkerLocalId() {
   // Starts at 1 so 0 can never collide with a default-initialized key.
   static std::atomic<uint64_t> Next{1};

@@ -44,7 +44,7 @@
 ///
 /// Per-worker accounting (busy time, tasks run, steals, affinity hits) is
 /// tallied so the solver can report thread utilization and queueing
-/// behaviour (core::SolverStats::ThreadBusySeconds / PoolQueue).
+/// behaviour (core::SolverStats::PoolWorkers).
 ///
 /// A process-wide pool (`sharedPool`/`setSharedParallelism`) serves
 /// libraries that cannot thread a pool handle through their interface —
@@ -243,18 +243,17 @@ public:
     uint64_t AffinityHits = 0;
     /// Seconds spent executing tasks since construction.
     double BusySeconds = 0.0;
+
+    /// Adds \p Other's counters: summing every worker gives pool totals.
+    WorkerQueueStats &operator+=(const WorkerQueueStats &Other) {
+      TasksRun += Other.TasksRun;
+      Steals += Other.Steals;
+      AffinityHits += Other.AffinityHits;
+      BusySeconds += Other.BusySeconds;
+      return *this;
+    }
   };
   std::vector<WorkerQueueStats> workerQueueStats() const;
-
-  /// Pool-wide totals of the per-worker counters.
-  uint64_t totalTasksRun() const;
-  uint64_t totalSteals() const;
-  uint64_t totalAffinityHits() const;
-
-  /// Seconds each worker has spent executing tasks since construction
-  /// (index = worker number). Approximate: read without synchronizing
-  /// against in-flight tasks.
-  std::vector<double> workerBusySeconds() const;
 
   /// Tasks enqueued but not yet finished (queued + executing). Approximate
   /// for observers other than the last submitter: a task's completion

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <iterator>
+#include <string>
 
 using namespace pmaf;
 using namespace pmaf::lang;
@@ -254,4 +257,35 @@ TEST(ParserTest, ErrorsCarryPositions) {
   ParseResult R = parseProgram("proc main() {\n  x := 1;\n}");
   ASSERT_FALSE(R);
   EXPECT_EQ(R.Error.substr(0, 2), "2:");
+}
+
+TEST(LangTest, NestedIfsAtTheDepthBoundParseOnAOneMegabyteStack) {
+  // The deepest statement nesting the parser accepts: nested ifs whose
+  // innermost statement sits at MaxNestingDepth. Parsing it (and freeing
+  // the tree) must fit a 1 MB thread stack, in sanitizer builds too.
+  const unsigned Ifs = (MaxNestingDepth - 1) / 2;
+  std::string Source = "proc main() {\n";
+  for (unsigned I = 0; I != Ifs; ++I)
+    Source += "if prob(1/2) {";
+  Source += " skip; " + std::string(Ifs, '}') + "\n}\n";
+  struct Job {
+    const std::string *Source;
+    bool Parsed = false;
+  } J{&Source};
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, 1u << 20), 0);
+  pthread_t Thread;
+  int Created = pthread_create(
+      &Thread, &Attr,
+      [](void *Arg) -> void * {
+        auto *J = static_cast<Job *>(Arg);
+        J->Parsed = static_cast<bool>(parseProgram(*J->Source));
+        return nullptr;
+      },
+      &J);
+  pthread_attr_destroy(&Attr);
+  ASSERT_EQ(Created, 0);
+  ASSERT_EQ(pthread_join(Thread, nullptr), 0);
+  EXPECT_TRUE(J.Parsed);
 }

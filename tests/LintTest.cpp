@@ -307,6 +307,9 @@ TEST(LintTest, NestingDepthBounds) {
   auto Negations = [&](unsigned N) {
     return "x := " + Repeat("- ", N) + "x;";
   };
+  auto OperandParens = [&](unsigned N) {
+    return "if (" + Repeat("(", N) + "x" + Repeat(")", N) + " > 0) { skip; }";
+  };
   using Codes = std::vector<std::string>;
   const Codes TooDeep = {"nesting-too-deep"};
   const unsigned Max = lang::MaxNestingDepth;
@@ -322,6 +325,24 @@ TEST(LintTest, NestingDepthBounds) {
   EXPECT_EQ(CodesOf(Sum(Max)), TooDeep);
   EXPECT_EQ(CodesOf(Negations(Max - 2)), Codes{});
   EXPECT_EQ(CodesOf(Negations(Max - 1)), TooDeep);
+  // A parenthesized comparison operand is read as an expression once per
+  // level, not once per enclosing level, and parses to the bare operand.
+  EXPECT_EQ(CodesOf(OperandParens(Max - 4)), Codes{});
+  {
+    lang::ParseResult Parsed = lang::parseProgram(
+        "real x;\nproc main() {\n" + OperandParens(Max - 4) + "\n}\n");
+    ASSERT_TRUE(Parsed) << Parsed.Error;
+    const lang::Stmt &If = *Parsed.Prog->Procs[0].Body->stmts()[0];
+    ASSERT_EQ(If.kind(), lang::Stmt::Kind::If);
+    ASSERT_EQ(If.guard().TheKind, lang::Guard::Kind::Cond);
+    const lang::Cond &Phi = *If.guard().Phi;
+    ASSERT_EQ(Phi.kind(), lang::Cond::Kind::Cmp);
+    EXPECT_EQ(Phi.cmpOp(), lang::CmpOp::Gt);
+    ASSERT_EQ(Phi.cmpLhs().kind(), lang::Expr::Kind::Var);
+    EXPECT_EQ(Phi.cmpLhs().varIndex(), 0u);
+    ASSERT_EQ(Phi.cmpRhs().kind(), lang::Expr::Kind::Number);
+    EXPECT_EQ(Phi.cmpRhs().number(), Rational(0));
+  }
   // Far past the bound each shape is still one located diagnostic, not a
   // stack overflow in the parser, the lint or the destructors.
   EXPECT_EQ(CodesOf(NestedIfs(10'000)), TooDeep);

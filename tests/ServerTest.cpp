@@ -24,6 +24,7 @@
 #include "cfg/HyperGraph.h"
 #include "cfg/Wto.h"
 #include "core/CompiledProgram.h"
+#include "core/Instrumentation.h"
 #include "core/Solver.h"
 #include "domains/BiDomain.h"
 #include "domains/LeiaDomain.h"
@@ -41,6 +42,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <regex>
 #include <thread>
 
 #include <arpa/inet.h>
@@ -445,6 +447,45 @@ TEST(DaemonTest, LoadAnalyzeEditAnalyzeOverTheWire) {
     EXPECT_TRUE(Stats.get("ok") && Stats.get("ok")->asBool());
     EXPECT_EQ(Stats.get("solves")->asUnsigned(),
               std::optional<uint64_t>(3));
+  }
+  D.requestStop();
+  D.wait();
+}
+
+TEST(DaemonTest, AnalyzeReplyStatsAreTheRenderedRecord) {
+  // The reply's "stats" is core::statsJson of the solve. The same cold
+  // solve on a local Session must render identically, up to the
+  // wall-clock *_seconds values.
+  const std::string Source = "bool a, b; proc helper() { b ~ "
+                             "bernoulli(1/4); } proc main() { a ~ "
+                             "bernoulli(1/2); helper(); while (b) { b ~ "
+                             "bernoulli(1/2); } }";
+  auto Normalized = [](const std::string &Json) {
+    std::optional<server::Json> J = server::Json::parse(Json);
+    EXPECT_TRUE(J) << Json;
+    static const std::regex Seconds("(\"[a-z_]*seconds\":)[^,}]*");
+    return std::regex_replace(J ? J->dump() : "", Seconds, "$1S");
+  };
+  server::Session Local;
+  ASSERT_TRUE(Local.load(Source, "bi", core::NumericBackend::Ladder).Ok);
+  server::AnalyzeReply AR = Local.analyze({});
+  ASSERT_TRUE(AR.Ok);
+  ASSERT_GT(AR.Stats.NodeUpdates, 0u);
+
+  server::Daemon D;
+  std::string Error;
+  ASSERT_TRUE(D.start(Error)) << Error;
+  {
+    TestClient C(D.port());
+    server::Json Load = C.request(
+        R"({"cmd":"load","domain":"bi","source":")" + Source + R"("})");
+    ASSERT_TRUE(Load.get("ok") && Load.get("ok")->asBool());
+    server::Json Reply = C.request(R"({"cmd":"analyze"})");
+    ASSERT_TRUE(Reply.get("ok") && Reply.get("ok")->asBool());
+    const server::Json *Stats = Reply.get("stats");
+    ASSERT_NE(Stats, nullptr);
+    EXPECT_EQ(Normalized(Stats->dump()),
+              Normalized(core::statsJson(AR.Stats)));
   }
   D.requestStop();
   D.wait();

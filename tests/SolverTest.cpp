@@ -8,12 +8,17 @@
 
 #include "cfg/HyperGraph.h"
 #include "core/Solver.h"
+#include "domains/LeiaDomain.h"
 #include "lang/Parser.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <string>
 
 using namespace pmaf;
 using namespace pmaf::core;
@@ -202,7 +207,7 @@ TEST(SolverTest, CompiledProgramReuseSkipsReinterpretation) {
     EXPECT_TRUE(Dom.equal(First.Values[V], Second.Values[V]));
 }
 
-TEST(SolverTest, ObserverSeesSolveLifecycleAndUpdates) {
+TEST(SolverTest, CountersAccumulateEachSolvesStats) {
   auto Prog = lang::parseProgramOrDie(R"(
     proc main() { while prob(1/2) { skip; } }
   )");
@@ -210,17 +215,106 @@ TEST(SolverTest, ObserverSeesSolveLifecycleAndUpdates) {
   ReachDomain Dom;
   SolverInstrumentation Counters;
   auto Result = solve(G, Dom, SolverOptions{}, &Counters);
-  EXPECT_EQ(Counters.Solves, 1u);
-  EXPECT_TRUE(Counters.LastConverged);
-  EXPECT_EQ(Counters.NodeUpdates, Result.Stats.NodeUpdates);
-  EXPECT_EQ(Counters.WideningApplications,
+  EXPECT_EQ(Counters.Solves.load(), 1u);
+  EXPECT_TRUE(Counters.LastConverged.load());
+  EXPECT_EQ(Counters.NodeUpdates.load(), Result.Stats.NodeUpdates);
+  EXPECT_EQ(Counters.WideningApplications.load(),
             Result.Stats.WideningApplications);
-  EXPECT_EQ(Counters.InterpretCalls, Result.Stats.InterpretCalls);
-  EXPECT_EQ(Counters.InterpretCacheHits, Result.Stats.InterpretCacheHits);
-  EXPECT_GT(Counters.ValueChanges, 0u);
-  EXPECT_GT(Counters.ComponentStabilizations, 0u); // The while loop.
-  EXPECT_GE(Counters.SolveSeconds, 0.0);
-  EXPECT_FALSE(Counters.report().empty());
+  EXPECT_EQ(Counters.InterpretCalls.load(), Result.Stats.InterpretCalls);
+  EXPECT_EQ(Counters.InterpretCacheHits.load(),
+            Result.Stats.InterpretCacheHits);
+  EXPECT_GT(Result.Stats.ValueChanges, 0u);
+  EXPECT_GT(Result.Stats.ComponentStabilizations, 0u); // The while loop.
+  EXPECT_GE(Result.Stats.SolveSeconds, 0.0);
+  EXPECT_FALSE(statsText(Result.Stats).empty());
+}
+
+namespace {
+
+/// The keys a stats rendering names, split into the record's own fields
+/// and the per-worker ones (prefixed "worker.").
+std::set<std::string> textKeys(const std::string &Text) {
+  std::set<std::string> Keys;
+  std::istringstream Lines(Text);
+  for (std::string Line; std::getline(Lines, Line);) {
+    std::string Prefix = Line.rfind("; worker ", 0) == 0 ? "worker." : "";
+    std::istringstream Words(Line);
+    for (std::string Word; Words >> Word;)
+      if (size_t Eq = Word.find('='); Eq != std::string::npos)
+        Keys.insert(Prefix + Word.substr(0, Eq));
+  }
+  return Keys;
+}
+
+std::set<std::string> jsonKeys(const std::string &Json) {
+  std::set<std::string> Keys;
+  const std::regex Key("\"([a-z0-9_]+)\": ");
+  const size_t Workers = Json.find("\"pool_workers\": [");
+  // The "pool_workers" array itself is the text's `; worker <i>:` lines.
+  for (std::sregex_iterator It(Json.begin(), Json.end(), Key), End;
+       It != End; ++It)
+    if (size_t(It->position()) != Workers)
+      Keys.insert((size_t(It->position()) > Workers ? "worker." : "") +
+                  (*It)[1].str());
+  return Keys;
+}
+
+} // namespace
+
+TEST(SolverTest, TextAndJsonRenderTheSameFields) {
+  // Polyhedra under the parallel scheduler, so the numeric-layer and the
+  // pool counters are live, not zero placeholders.
+  auto Prog = lang::parseProgramOrDie(R"(
+    real x, y;
+    proc main() {
+      while prob(3/4) { x := x + 1; y := y + x; }
+    }
+  )");
+  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
+  domains::LeiaDomainT<poly::Polyhedron> Dom(*Prog);
+  SolverOptions Opts;
+  Opts.Strategy = IterationStrategy::ParallelScc;
+  Opts.Jobs = 2;
+  const SolverStats S = solve(G, Dom, Opts).Stats;
+  ASSERT_TRUE(S.Converged);
+  ASSERT_EQ(S.PoolWorkers.size(), 2u);
+  EXPECT_GT(S.Numeric.MinimizationCalls, 0u);
+  EXPECT_GT(S.Numeric.ConversionCacheMisses, 0u);
+  uint64_t TasksRun = 0;
+  for (const auto &W : S.PoolWorkers)
+    TasksRun += W.TasksRun;
+  EXPECT_GT(TasksRun, 0u);
+
+  const std::string Text = statsText(S), Json = statsJson(S);
+  const std::set<std::string> Keys = textKeys(Text);
+  EXPECT_EQ(Keys, jsonKeys(Json)) << Text << Json;
+  // Every counter the CLI report, the pmafd reply or the bench records
+  // ever printed.
+  for (const char *Old :
+       {"converged", "node_updates", "value_changes", "widenings",
+        "components_stabilized", "solve_seconds", "interpret_calls",
+        "interpret_cache_hits", "precompiled_transformers",
+        "precompile_seconds", "jobs_used", "max_parallel_sccs",
+        "pool_tasks_run", "pool_steals", "pool_affinity_hits",
+        "thread_busy_seconds", "chernikova_calls", "peak_generator_rows",
+        "conversion_cache_hits", "conversion_cache_misses", "shared_l2_hits",
+        "cache_evictions", "escalations", "max_pack_width",
+        "worker.tasks_run", "worker.steals", "worker.affinity_hits",
+        "worker.busy_seconds"})
+    EXPECT_TRUE(Keys.count(Old)) << Old;
+  // Both renderings carry the record's values.
+  const std::string Updates = std::to_string(S.NodeUpdates);
+  const std::string Calls = std::to_string(S.Numeric.MinimizationCalls);
+  const std::string Tasks = std::to_string(TasksRun);
+  EXPECT_NE(Text.find(" node_updates=" + Updates + " "), std::string::npos);
+  EXPECT_NE(Json.find("\"node_updates\": " + Updates + ","),
+            std::string::npos);
+  EXPECT_NE(Text.find(" chernikova_calls=" + Calls + " "), std::string::npos);
+  EXPECT_NE(Json.find("\"chernikova_calls\": " + Calls + ","),
+            std::string::npos);
+  EXPECT_NE(Text.find(" pool_tasks_run=" + Tasks + " "), std::string::npos);
+  EXPECT_NE(Json.find("\"pool_tasks_run\": " + Tasks + ","),
+            std::string::npos);
 }
 
 TEST(SolverTest, WorklistSchedulerMatchesRecursiveOnRecursion) {

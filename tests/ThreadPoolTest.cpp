@@ -38,6 +38,18 @@
 
 using namespace pmaf;
 
+namespace {
+
+/// Pool-wide totals of the per-worker queueing counters.
+support::ThreadPool::WorkerQueueStats total(const support::ThreadPool &Pool) {
+  support::ThreadPool::WorkerQueueStats Sum;
+  for (const auto &W : Pool.workerQueueStats())
+    Sum += W;
+  return Sum;
+}
+
+} // namespace
+
 TEST(ThreadPoolTest, StartupAndShutdownAcrossSizes) {
   for (unsigned N : {0u, 1u, 2u, 4u, 8u}) {
     support::ThreadPool Pool(N);
@@ -267,12 +279,8 @@ TEST(ThreadPoolTest, WorkerBusySecondsAreTallied) {
         X = X * 1.0000001;
       return X;
     }).get();
-  std::vector<double> Busy = Pool.workerBusySeconds();
-  EXPECT_EQ(Busy.size(), Pool.size());
-  double Total = 0.0;
-  for (double B : Busy)
-    Total += B;
-  EXPECT_GT(Total, 0.0);
+  EXPECT_EQ(Pool.workerQueueStats().size(), Pool.size());
+  EXPECT_GT(total(Pool).BusySeconds, 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -332,8 +340,8 @@ TEST(ThreadPoolTest, OwnerPopsPinnedTasksInSubmissionOrder) {
   ASSERT_EQ(Order.size(), 8u);
   for (int K = 0; K != 8; ++K)
     EXPECT_EQ(Order[K], K);
-  EXPECT_EQ(Pool.totalSteals(), 0u);
-  EXPECT_EQ(Pool.totalAffinityHits(), 9u); // blocker + 8 pinned tasks
+  EXPECT_EQ(total(Pool).Steals, 0u);
+  EXPECT_EQ(total(Pool).AffinityHits, 9u); // blocker + 8 pinned tasks
 }
 
 TEST(ThreadPoolTest, ThiefTakesFromTheBackOfASaturatedDeque) {
@@ -375,8 +383,8 @@ TEST(ThreadPoolTest, ThiefTakesFromTheBackOfASaturatedDeque) {
     EXPECT_EQ(Ran.back().first, 0u) << "the last task belongs to its owner";
     EXPECT_EQ(Ran.back().second, 1);
   }
-  EXPECT_EQ(Pool.totalSteals(), 5u);
-  EXPECT_EQ(Pool.totalAffinityHits(), 3u); // two blockers + task 1
+  EXPECT_EQ(total(Pool).Steals, 5u);
+  EXPECT_EQ(total(Pool).AffinityHits, 3u); // two blockers + task 1
 }
 
 TEST(ThreadPoolTest, LonePinnedTaskWaitsForItsBusyOwner) {
@@ -392,7 +400,7 @@ TEST(ThreadPoolTest, LonePinnedTaskWaitsForItsBusyOwner) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(Ran.load()) << "a lone pinned task must wait for its owner";
-  EXPECT_EQ(Pool.totalSteals(), 0u);
+  EXPECT_EQ(total(Pool).Steals, 0u);
   Blocker.release();
   while (!Pool.idle())
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -419,7 +427,7 @@ TEST(ThreadPoolTest, ExceptionPropagatesThroughAStolenTask) {
   // pool has quiesced.
   while (!Pool.idle())
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_GE(Pool.totalSteals(), 1u);
+  EXPECT_GE(total(Pool).Steals, 1u);
 }
 
 TEST(ThreadPoolTest, IdleContractHoldsUnderStealing) {
@@ -440,7 +448,7 @@ TEST(ThreadPoolTest, IdleContractHoldsUnderStealing) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_EQ(Ran.load(), Tasks);
   EXPECT_EQ(Pool.inFlightTasks(), 0u);
-  EXPECT_EQ(Pool.totalTasksRun(), static_cast<uint64_t>(Tasks));
+  EXPECT_EQ(total(Pool).TasksRun, static_cast<uint64_t>(Tasks));
 }
 
 TEST(ThreadPoolTest, CurrentWorkerIdentifiesOwnerAndOutsiders) {

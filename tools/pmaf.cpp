@@ -47,10 +47,10 @@
 // parallel scheduler: pinned work keeps the per-thread conversion memos
 // hot, and the pool steals it back only from a saturated owner; fixpoints
 // are identical either way.
-// --stats prints the instrumentation counters (core/Instrumentation.h),
-// including the interpret-cache traffic, precompile timing, the worker
-// count the solve actually used, the peak number of SCCs in flight, and
-// per-worker queueing (tasks run / steals / affinity hits).
+// --stats prints the solver options and then the solve's SolverStats in
+// the text rendering of core/Instrumentation.h: iteration, interpret-cache,
+// parallel-engine, numeric-layer and warm-start counters as key=value
+// lines, plus one line per pool worker.
 //
 // Every solve is followed by the checker layer (checks/Checker.h): each
 // `assert_prob` / `assert_reward` / `assert_interval` statement is judged
@@ -232,44 +232,19 @@ struct CliSolverConfig {
       Opts.Affinity = *Affinity;
   }
 
-  void printReport(const SolverInstrumentation &Counters,
-                   const SolverOptions &Opts,
-                   const core::SolverStats &SolveStats) const {
-    if (!Stats)
-      return;
-    std::printf("; strategy: %s, widening delay %u, max updates %llu, "
-                "jobs %u, numeric %s\n",
-                core::toString(Opts.Strategy), Opts.WideningDelay,
-                static_cast<unsigned long long>(Opts.MaxUpdates),
-                Opts.Jobs, core::toString(Opts.Numeric));
-    std::printf("; parallel: %u workers used, %u SCCs in flight at peak, "
-                "affinity %s\n",
-                SolveStats.JobsUsed, SolveStats.MaxParallelSccs,
-                Opts.Affinity ? "on" : "off");
-    for (size_t W = 0; W != SolveStats.PoolWorkers.size(); ++W) {
-      const auto &Q = SolveStats.PoolWorkers[W];
-      std::printf("; worker %zu: %llu tasks run, %llu steals, %llu "
-                  "affinity hits, %.6f s busy\n",
-                  W, static_cast<unsigned long long>(Q.TasksRun),
-                  static_cast<unsigned long long>(Q.Steals),
-                  static_cast<unsigned long long>(Q.AffinityHits),
-                  Q.BusySeconds);
-    }
-    if (!SolveStats.Converged)
-      std::printf("; NOT CONVERGED: update budget exhausted after %llu "
-                  "updates\n",
-                  static_cast<unsigned long long>(SolveStats.NodeUpdates));
-    std::printf("%s", Counters.report().c_str());
-  }
-
-  /// Prints the report and maps the solve outcome to the process exit
-  /// code: 0 for a converged fixpoint, 3 (with a stderr warning) when the
-  /// update budget ran out and the printed values are only a
-  /// mid-iteration snapshot.
-  int finish(const SolverInstrumentation &Counters,
-             const SolverOptions &Opts,
+  /// Prints the options and stats (under --stats) and maps the solve
+  /// outcome to the process exit code: 0 for a converged fixpoint, 3
+  /// (with a stderr warning) when the update budget ran out and the
+  /// printed values are only a mid-iteration snapshot.
+  int finish(const SolverOptions &Opts,
              const core::SolverStats &SolveStats) const {
-    printReport(Counters, Opts, SolveStats);
+    if (Stats)
+      std::printf("; strategy: %s, widening delay %u, max updates %llu, "
+                  "jobs %u, numeric %s, affinity %s\n%s",
+                  core::toString(Opts.Strategy), Opts.WideningDelay,
+                  static_cast<unsigned long long>(Opts.MaxUpdates), Opts.Jobs,
+                  core::toString(Opts.Numeric), Opts.Affinity ? "on" : "off",
+                  core::statsText(SolveStats).c_str());
     if (SolveStats.Converged)
       return 0;
     std::fprintf(stderr,
@@ -522,7 +497,6 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
   }
 
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-  SolverInstrumentation Counters;
   checks::CheckerOptions COpts;
   // Per-file solves are sequential; verify-corpus parallelizes across
   // files instead.
@@ -533,7 +507,7 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
     SOpts.UseWidening = false;
     SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
-    auto Result = solve(Graph, Dom, SOpts, &Counters);
+    auto Result = solve(Graph, Dom, SOpts);
     Out.Converged = Result.Stats.Converged;
     COpts.Converged = Result.Stats.Converged;
     Out.Db = checks::checkBiSummaries(
@@ -544,7 +518,7 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
     SOpts.WideningDelay = 10000;
     SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
-    auto Result = solve(Graph, Dom, SOpts, &Counters);
+    auto Result = solve(Graph, Dom, SOpts);
     Out.Converged = Result.Stats.Converged;
     COpts.Converged = Result.Stats.Converged;
     Out.Db = checks::checkMdp(Graph, Result.Values, COpts);
@@ -558,7 +532,7 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
     SolverOptions SOpts;
     SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
-    auto Result = solve(Graph, Dom, SOpts, &Counters);
+    auto Result = solve(Graph, Dom, SOpts);
     Out.Converged = Result.Stats.Converged;
     COpts.Converged = Result.Stats.Converged;
     Out.Db = checks::checkLeia(Dom, Graph, Result.Values, COpts);
@@ -955,7 +929,6 @@ int main(int argc, char **argv) {
   if (EmitDot)
     std::printf("%s", Graph.toDot().c_str());
 
-  SolverInstrumentation Counters;
   if (Domain == "leia") {
     SolverOptions Opts;
     Config.apply(Opts);
@@ -963,7 +936,7 @@ int main(int argc, char **argv) {
     // whole leia path on the runtime choice once, here.
     auto RunLeia = [&]<typename NumV>(std::type_identity<NumV>) -> int {
       LeiaDomainT<NumV> Dom(*Prog);
-      auto Result = solve(Graph, Dom, Opts, &Counters);
+      auto Result = solve(Graph, Dom, Opts);
       for (unsigned P = 0; P != Graph.numProcs(); ++P) {
         std::printf("%s():\n", Prog->Procs[P].Name.c_str());
         auto Invariants =
@@ -978,7 +951,7 @@ int main(int argc, char **argv) {
       int CheckExit = reportCheckResults(
           checks::checkLeia(Dom, Graph, Result.Values, COpts), Path, Source,
           Werror, Json);
-      int Exit = Config.finish(Counters, Opts, Result.Stats);
+      int Exit = Config.finish(Opts, Result.Stats);
       return CheckExit ? CheckExit : Exit;
     };
     switch (Opts.Numeric) {
@@ -999,7 +972,7 @@ int main(int argc, char **argv) {
     SolverOptions Opts;
     Opts.UseWidening = false;
     Config.apply(Opts);
-    auto Result = solve(Graph, Dom, Opts, &Counters);
+    auto Result = solve(Graph, Dom, Opts);
     std::vector<double> Prior(Space.numStates(), 0.0);
     Prior[0] = 1.0;
     for (unsigned P = 0; P != Graph.numProcs(); ++P) {
@@ -1023,7 +996,7 @@ int main(int argc, char **argv) {
             Space, Graph, [&](unsigned N) { return Result.Values[N]; },
             COpts),
         Path, Source, Werror, Json);
-    int Exit = Config.finish(Counters, Opts, Result.Stats);
+    int Exit = Config.finish(Opts, Result.Stats);
     return CheckExit ? CheckExit : Exit;
   }
   if (Domain == "mdp") {
@@ -1031,7 +1004,7 @@ int main(int argc, char **argv) {
     SolverOptions Opts;
     Opts.WideningDelay = 10000;
     Config.apply(Opts);
-    auto Result = solve(Graph, Dom, Opts, &Counters);
+    auto Result = solve(Graph, Dom, Opts);
     for (unsigned P = 0; P != Graph.numProcs(); ++P)
       std::printf("%s(): greatest expected reward = %g\n",
                   Prog->Procs[P].Name.c_str(),
@@ -1041,14 +1014,14 @@ int main(int argc, char **argv) {
     int CheckExit = reportCheckResults(
         checks::checkMdp(Graph, Result.Values, COpts), Path, Source, Werror,
         Json);
-    int Exit = Config.finish(Counters, Opts, Result.Stats);
+    int Exit = Config.finish(Opts, Result.Stats);
     return CheckExit ? CheckExit : Exit;
   }
   if (Domain == "termination") {
     TerminationDomain Dom;
     SolverOptions Opts;
     Config.apply(Opts);
-    auto Result = solve(Graph, Dom, Opts, &Counters);
+    auto Result = solve(Graph, Dom, Opts);
     for (unsigned P = 0; P != Graph.numProcs(); ++P)
       std::printf("%s(): P[termination] >= %.6f\n",
                   Prog->Procs[P].Name.c_str(),
@@ -1057,7 +1030,7 @@ int main(int argc, char **argv) {
         checks::skipAllChecks(Graph, "the termination analysis has no "
                                      "assertion checker"),
         Path, Source, Werror, Json);
-    int Exit = Config.finish(Counters, Opts, Result.Stats);
+    int Exit = Config.finish(Opts, Result.Stats);
     return CheckExit ? CheckExit : Exit;
   }
   std::fprintf(stderr, "error: unknown domain %s\n", Domain.c_str());
