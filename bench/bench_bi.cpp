@@ -29,10 +29,6 @@ using namespace pmaf::domains;
 
 namespace {
 
-/// Resolved --jobs value (1 = sequential); set once in main before any
-/// analysis runs.
-unsigned BenchJobs = 1;
-
 struct Row {
   std::string Name;
   unsigned Loc = 0;
@@ -48,7 +44,6 @@ AnalysisResult<Matrix> analyzeOnce(const cfg::ProgramGraph &Graph,
                                    const BiDomain &Dom) {
   SolverOptions Opts;
   Opts.UseWidening = false; // §5.1: BI is an under-abstraction from bottom.
-  Opts.Jobs = BenchJobs;
   BiDomain Copy = Dom;
   return solve(Graph, Copy, Opts);
 }
@@ -114,7 +109,6 @@ void registerTimingBenchmarks() {
 } // namespace
 
 int main(int argc, char **argv) {
-  BenchJobs = bench::configureJobs(argc, argv);
   std::string JsonPath = bench::extractJsonPath(argc, argv);
   bench::JsonEmitter Json;
   std::printf("Table 2 (top): interprocedural Bayesian inference (§5.1)\n");

@@ -55,7 +55,6 @@ void printRow(const char *Program, const char *Domain,
 } // namespace
 
 int main(int argc, char **argv) {
-  bench::configureJobs(argc, argv);
   std::printf("Iteration-strategy ablation: Bourdoncle WTO-recursive vs "
               "round-robin vs worklist\n");
   bench::printRule(86);

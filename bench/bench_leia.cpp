@@ -8,7 +8,6 @@
 //   --numeric=poly|ladder|zones|intervals  numeric backend (default ladder)
 //   --programs=a,b,c                       run only the named benchmarks
 //   --json=<path>                          write BENCH_*.json records
-//   --jobs=<n>                             solver worker threads
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +27,6 @@ using namespace pmaf::core;
 using namespace pmaf::domains;
 
 namespace {
-
-/// Resolved --jobs value (1 = sequential); set once in main before any
-/// analysis runs.
-unsigned BenchJobs = 1;
 
 /// Resolved --numeric backend; set once in main.
 NumericBackend BenchNumeric = NumericBackend::Ladder;
@@ -54,7 +49,6 @@ AnalysisResult<LeiaValueT<NumV>> analyzeOnce(const cfg::ProgramGraph &Graph,
   LeiaDomainT<NumV> Dom(Prog);
   SolverOptions Opts;
   Opts.WideningDelay = 2;
-  Opts.Jobs = BenchJobs;
   Opts.Numeric = BenchNumeric;
   return solve(Graph, Dom, Opts);
 }
@@ -146,7 +140,6 @@ int runTable(const std::string &JsonPath) {
 } // namespace
 
 int main(int argc, char **argv) {
-  BenchJobs = bench::configureJobs(argc, argv);
   std::string JsonPath = bench::extractJsonPath(argc, argv);
   std::string NumericArg =
       bench::extractStringFlag(argc, argv, "--numeric=");

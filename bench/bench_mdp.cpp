@@ -54,7 +54,6 @@ void registerTimingBenchmarks() {
 } // namespace
 
 int main(int argc, char **argv) {
-  bench::configureJobs(argc, argv);
   std::printf(
       "Table 2 (bottom): Markov decision processes with rewards (§5.2)\n");
   bench::printRule(78);

@@ -58,7 +58,6 @@ Outcome analyze(const benchmarks::BenchProgram &Bench, bool Unified) {
 } // namespace
 
 int main(int argc, char **argv) {
-  bench::configureJobs(argc, argv);
   std::printf("Ablation (§4.4): per-kind widening vs a single unified "
               "widening, LEIA on Table 1\n");
   bench::printRule(78);

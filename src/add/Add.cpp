@@ -232,27 +232,6 @@ NodeRef AddManager::rename(NodeRef A,
   return Rec(Rec, A);
 }
 
-NodeRef AddManager::migrate(NodeRef A, const AddManager &From,
-                            MigrationCache &Cache) {
-  if (&From == this)
-    return A;
-  // Recursion depth is bounded by the number of decision levels (diagrams
-  // are ordered), not by the node count.
-  auto Rec = [&](const auto &Self, NodeRef N) -> NodeRef {
-    auto It = Cache.find(N);
-    if (It != Cache.end())
-      return It->second;
-    NodeRef Result =
-        From.isTerminal(N)
-            ? terminal(From.terminalValue(N))
-            : makeNode(From.levelOf(N), Self(Self, From.lo(N)),
-                       Self(Self, From.hi(N)));
-    Cache.emplace(N, Result);
-    return Result;
-  };
-  return Rec(Rec, A);
-}
-
 namespace {
 
 /// DAG traversal (visited-set, so shared subgraphs are walked once)

@@ -23,14 +23,7 @@
 /// reconstruction for general injective permutations).
 ///
 /// A manager is deliberately a single-threaded object: its unique table
-/// and operation caches are unsynchronized. Concurrency is layered above
-/// it by `migrate` — the rename-and-merge primitive of the parallel
-/// ADD-backed BI domain — which structurally copies a diagram from one
-/// manager into another, re-hash-consing every node so the copy is
-/// canonical in the destination (two migrations of extensionally equal
-/// functions land on the identical NodeRef). Each worker computes in a
-/// private manager and migrates results into the shared one under a lock
-/// (domains/AddBiDomain.cpp owns that protocol).
+/// and operation caches are unsynchronized.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,13 +44,6 @@ using NodeRef = uint32_t;
 
 /// Pointwise binary combinators for apply().
 enum class Op { Add, Sub, Mul, Min, Max };
-
-/// Memo for repeated migrations between one fixed (source, destination)
-/// manager pair: source NodeRef -> destination NodeRef. Entries stay
-/// valid forever (managers never delete nodes), so callers that migrate
-/// many diagrams across the same pair keep one cache and each shared
-/// subgraph is copied exactly once over the cache's lifetime.
-using MigrationCache = std::unordered_map<NodeRef, NodeRef>;
 
 /// The node store and operation cache for a family of ADDs.
 class AddManager {
@@ -106,23 +92,6 @@ public:
   /// the decisions, so the result is canonical either way.
   NodeRef rename(NodeRef A,
                  const std::function<unsigned(unsigned)> &Map);
-
-  /// Rename-and-merge: structurally copies the diagram rooted at \p A from
-  /// \p From into this manager and \returns the copy's root. Every node is
-  /// re-hash-consed here, so migration preserves canonicity: extensionally
-  /// equal diagrams — whether migrated from different managers or built
-  /// natively — land on the identical NodeRef, and terminal values are
-  /// preserved bit-for-bit. \p Cache memoizes the copy (see
-  /// MigrationCache); migrating from *this is the identity. Reads \p From
-  /// and writes *this: the caller synchronizes both sides when either is
-  /// shared across threads.
-  NodeRef migrate(NodeRef A, const AddManager &From, MigrationCache &Cache);
-
-  /// One-shot migrate with a throwaway cache.
-  NodeRef migrate(NodeRef A, const AddManager &From) {
-    MigrationCache Cache;
-    return migrate(A, From, Cache);
-  }
 
   /// The sorted distinct levels the diagram rooted at \p A tests.
   std::vector<unsigned> support(NodeRef A) const;

@@ -68,30 +68,6 @@ concept PreMarkovAlgebra = requires(
   { Dom.toString(A) } -> std::same_as<std::string>;
 };
 
-/// Opt-in declaration of the thread-safety trait: a domain that defines
-/// `static constexpr bool ThreadSafeInterpret = true` promises that
-/// concurrent calls of its const operations (interpret, extend, the
-/// choices, leq/equal, the widenings) on a single instance are data-race
-/// free — for domains with parallel-phase hooks (below), within a
-/// bracketed parallel phase. The parallel engine consults this before
-/// precompiling transformers concurrently or running the per-SCC parallel
-/// scheduler; domains with unguarded shared mutable internals declare
-/// false — or nothing, since absent means unsafe — and are iterated
-/// sequentially.
-template <typename D>
-concept DeclaresThreadSafeInterpret = requires {
-  { D::ThreadSafeInterpret } -> std::convertible_to<bool>;
-};
-
-/// Whether the engine may touch \p D from several threads at once.
-/// Conservative default: domains that do not opt in are treated as unsafe.
-template <typename D> consteval bool threadSafeInterpret() {
-  if constexpr (DeclaresThreadSafeInterpret<D>)
-    return D::ThreadSafeInterpret;
-  else
-    return false;
-}
-
 /// Opt-in reporting of numeric-layer counters: a domain built on the
 /// poly backends may expose the process-wide conversion/escalation
 /// counters (poly::numericCounters) as a snapshot, and the solver then
@@ -101,56 +77,6 @@ template <typename D> consteval bool threadSafeInterpret() {
 template <typename D>
 concept ReportsNumericStats = requires {
   { D::numericStats() } -> std::convertible_to<NumericLayerStats>;
-};
-
-/// Optional parallel-phase hooks. A domain whose thread safety is not free
-/// (it must reroute work through per-thread state, start synchronizing a
-/// shared structure, ...) may declare
-///
-///   void parallelBegin(unsigned Workers);   // entering a parallel phase
-///   void parallelEnd();                     // phase over, all calls done
-///
-/// and the engine brackets every concurrent section (up-front transformer
-/// precompilation, the parallel per-SCC scheduler) with them: parallelBegin
-/// is called before the first concurrent domain call can be issued, and
-/// parallelEnd only after all of them have returned. Brackets nest
-/// (precompile inside solve brackets again); domains track the depth.
-/// AddBiDomain is the motivating client: between the hooks it computes in
-/// thread-local AddManager arenas and publishes results into its shared
-/// home manager by a lock-guarded migrate, and at the outermost
-/// parallelEnd it drops the arenas (whose pool threads are about to die).
-/// Outside any bracket such a domain runs its plain sequential path, so
-/// Jobs = 1 solves pay nothing.
-template <typename D>
-concept ParallelPhaseDomain = requires(D &Dom, unsigned Workers) {
-  { Dom.parallelBegin(Workers) };
-  { Dom.parallelEnd() };
-};
-
-/// RAII bracket for a parallel phase; no-op for domains without the hooks
-/// (their thread safety is unconditional) and when \p Enable is false
-/// (the engine is not actually going parallel).
-template <typename D> class ParallelPhase {
-public:
-  ParallelPhase(D &Dom, unsigned Workers, bool Enable)
-      : Dom(Dom), Active(Enable) {
-    if constexpr (ParallelPhaseDomain<D>) {
-      if (Active)
-        Dom.parallelBegin(Workers);
-    }
-  }
-  ~ParallelPhase() {
-    if constexpr (ParallelPhaseDomain<D>) {
-      if (Active)
-        Dom.parallelEnd();
-    }
-  }
-  ParallelPhase(const ParallelPhase &) = delete;
-  ParallelPhase &operator=(const ParallelPhase &) = delete;
-
-private:
-  D &Dom;
-  [[maybe_unused]] bool Active;
 };
 
 } // namespace core

@@ -19,14 +19,11 @@
 #ifndef PMAF_CORE_INSTRUMENTATION_H
 #define PMAF_CORE_INSTRUMENTATION_H
 
-#include "support/ThreadPool.h"
-
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace pmaf {
 namespace core {
@@ -44,8 +41,8 @@ struct NumericLayerStats {
   uint64_t ConversionCacheHits = 0;
   uint64_t ConversionCacheMisses = 0;
   /// The subset of ConversionCacheHits served by the process-wide sharded
-  /// L2 (the thread-local L1 missed: a stolen component, a fresh pool
-  /// worker, or conversions inherited from an earlier solve).
+  /// L2 (the thread-local L1 missed: a fresh pmafd connection thread, or
+  /// conversions inherited from an earlier solve).
   uint64_t SharedCacheHits = 0;
   /// Memo entries the bounded caches dropped at their caps.
   uint64_t CacheEvictions = 0;
@@ -67,7 +64,7 @@ struct SolverStats {
   /// The node updates that moved the node's value.
   uint64_t ValueChanges = 0;
   uint64_t WideningApplications = 0;
-  /// WTO components stabilized (the recursive and parallel schedulers).
+  /// WTO components stabilized (the recursive scheduler).
   uint64_t ComponentStabilizations = 0;
   /// Wall-clock seconds of the whole solve.
   double SolveSeconds = 0.0;
@@ -78,25 +75,6 @@ struct SolverStats {
   uint64_t InterpretCalls = 0;
   /// Transformer-cache hits during this solve.
   uint64_t InterpretCacheHits = 0;
-  /// `seq` edges covered by the up-front precompilation pass (zero when
-  /// the solve was lazy, i.e. Jobs == 1).
-  uint64_t PrecompiledTransformers = 0;
-  /// Wall-clock seconds of the precompilation pass.
-  double PrecompileSeconds = 0.0;
-  /// Worker threads the solve actually used (1 = sequential, either by
-  /// request or because the domain is not ThreadSafeInterpret).
-  unsigned JobsUsed = 1;
-  /// High-water mark of simultaneously in-flight SCC stabilizations under
-  /// the ParallelScc scheduler (1 for every sequential strategy) — the
-  /// observed, not theoretical, SCC-level parallelism of the solve.
-  unsigned MaxParallelSccs = 1;
-  /// Queueing of the per-solve pool, per worker (empty for sequential
-  /// solves; precompilation fan-out included). Steals low and affinity
-  /// hits high is the locality protocol working; steals high means the
-  /// SCC structure is too imbalanced for pinning and the pool is
-  /// rebalancing instead. Utilization over the solve is the summed
-  /// BusySeconds / (JobsUsed * SolveSeconds).
-  std::vector<support::ThreadPool::WorkerQueueStats> PoolWorkers;
   /// Numeric-layer counters for domains that report them (all-zero
   /// otherwise): per-solve deltas of the monotone counters, current
   /// high-water marks for the peaks (reset via poly::resetNumericPeaks).
@@ -114,12 +92,8 @@ struct SolverStats {
 /// The field table: calls Field(Group, Key, Value) for every scalar
 /// counter of \p S, in rendering order. Value is a bool, an integer
 /// count, or a double of seconds. The text renderer prints one line per
-/// Group; the JSON renderer ignores groups. Pool totals are sums over
-/// S.PoolWorkers, which visitWorkerFields renders worker by worker.
+/// Group; the JSON renderer ignores groups.
 template <typename F> void visitStatsFields(const SolverStats &S, F &&Field) {
-  support::ThreadPool::WorkerQueueStats Pool;
-  for (const support::ThreadPool::WorkerQueueStats &W : S.PoolWorkers)
-    Pool += W;
   const NumericLayerStats &N = S.Numeric;
   Field("solve", "converged", S.Converged);
   Field("solve", "node_updates", S.NodeUpdates);
@@ -129,14 +103,6 @@ template <typename F> void visitStatsFields(const SolverStats &S, F &&Field) {
   Field("solve", "solve_seconds", S.SolveSeconds);
   Field("interpret", "interpret_calls", S.InterpretCalls);
   Field("interpret", "interpret_cache_hits", S.InterpretCacheHits);
-  Field("interpret", "precompiled_transformers", S.PrecompiledTransformers);
-  Field("interpret", "precompile_seconds", S.PrecompileSeconds);
-  Field("parallel", "jobs_used", uint64_t(S.JobsUsed));
-  Field("parallel", "max_parallel_sccs", uint64_t(S.MaxParallelSccs));
-  Field("parallel", "pool_tasks_run", Pool.TasksRun);
-  Field("parallel", "pool_steals", Pool.Steals);
-  Field("parallel", "pool_affinity_hits", Pool.AffinityHits);
-  Field("parallel", "thread_busy_seconds", Pool.BusySeconds);
   Field("numeric", "chernikova_calls", N.MinimizationCalls);
   Field("numeric", "peak_generator_rows", uint64_t(N.PeakGeneratorRows));
   Field("numeric", "conversion_cache_hits", N.ConversionCacheHits);
@@ -148,17 +114,6 @@ template <typename F> void visitStatsFields(const SolverStats &S, F &&Field) {
   Field("warm start", "nodes_reused", S.NodesReused);
   Field("warm start", "sccs_skipped", S.SccsSkipped);
   Field("warm start", "sccs_resolved", S.SccsResolved);
-}
-
-/// The per-worker rows of the table: Field(Key, Value) for one entry of
-/// SolverStats::PoolWorkers.
-template <typename F>
-void visitWorkerFields(const support::ThreadPool::WorkerQueueStats &W,
-                       F &&Field) {
-  Field("tasks_run", W.TasksRun);
-  Field("steals", W.Steals);
-  Field("affinity_hits", W.AffinityHits);
-  Field("busy_seconds", W.BusySeconds);
 }
 
 namespace detail {
@@ -178,16 +133,9 @@ inline void appendStatsValue(std::string &Out, bool V) {
 } // namespace detail
 
 /// The text rendering (`pmaf --stats`): one `; <group>: key=value ...`
-/// line per table group, then one `; worker <i>: ...` line per pool
-/// worker.
+/// line per table group.
 inline std::string statsText(const SolverStats &S) {
   std::string Out;
-  auto Append = [&Out](const char *Key, auto Value) {
-    Out += ' ';
-    Out += Key;
-    Out += '=';
-    detail::appendStatsValue(Out, Value);
-  };
   std::string_view Group;
   visitStatsFields(S, [&](std::string_view G, const char *Key, auto Value) {
     if (G != Group) {
@@ -196,40 +144,28 @@ inline std::string statsText(const SolverStats &S) {
       Out += ':';
       Group = G;
     }
-    Append(Key, Value);
+    Out += ' ';
+    Out += Key;
+    Out += '=';
+    detail::appendStatsValue(Out, Value);
   });
   Out += '\n';
-  for (size_t I = 0; I != S.PoolWorkers.size(); ++I) {
-    Out += "; worker " + std::to_string(I) + ':';
-    visitWorkerFields(S.PoolWorkers[I], Append);
-    Out += '\n';
-  }
   return Out;
 }
 
 /// The JSON rendering (pmafd `analyze` replies, bench `--json` records):
-/// one flat object of the table's fields plus a `pool_workers` array of
-/// per-worker objects.
+/// one flat object of the table's fields.
 inline std::string statsJson(const SolverStats &S) {
   std::string Out = "{";
-  auto Append = [&Out](const char *Key, auto Value) {
+  visitStatsFields(S, [&Out](const char *, const char *Key, auto Value) {
     if (Out.back() != '{')
       Out += ", ";
     Out += '"';
     Out += Key;
     Out += "\": ";
     detail::appendStatsValue(Out, Value);
-  };
-  visitStatsFields(S, [&](const char *, const char *Key, auto Value) {
-    Append(Key, Value);
   });
-  Out += ", \"pool_workers\": [";
-  for (size_t I = 0; I != S.PoolWorkers.size(); ++I) {
-    Out += I ? ", {" : "{";
-    visitWorkerFields(S.PoolWorkers[I], Append);
-    Out += '}';
-  }
-  Out += "]}";
+  Out += '}';
   return Out;
 }
 

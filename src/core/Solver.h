@@ -23,8 +23,8 @@
 ///     cached `seq`-edge transformers (one Dom.interpret per edge),
 ///     right-hand-side evaluation, dependence structure;
 ///   * core/Schedule.h — pluggable iteration strategies (WTO-recursive,
-///     round-robin, dependency-driven worklist, parallel per-SCC) behind a
-///     domain-free Scheduler interface;
+///     round-robin, dependency-driven worklist) behind a domain-free
+///     Scheduler interface;
 ///   * core/Instrumentation.h — the per-solve stats record (SolverStats)
 ///     and its text and JSON renderings.
 ///
@@ -34,15 +34,7 @@
 /// under the precedence ndet ▷ prob ▷ cond — see
 /// CompiledProgram::wideningKinds — which maintains the invariant of
 /// Obs 4.9: old ⊑ new at every `old ∇ new`), convergence accounting, and
-/// the update budget — plus the parallel-engine plumbing: when
-/// SolverOptions::Jobs asks for more than one worker and the domain
-/// declares ThreadSafeInterpret, solve() owns a per-solve thread pool,
-/// precompiles all `seq`-edge transformers on it before iteration starts,
-/// and hands it to the scheduler (IterationStrategy::ParallelScc uses
-/// it). Update accounting switches to atomics so concurrent workers can
-/// share the counters; per-node state (values, update counts) needs no
-/// locks because each node is written by exactly one worker at a time
-/// (see ParallelSccScheduler).
+/// the update budget. Every solve runs on the calling thread.
 ///
 /// The value computed at a procedure's entry node is that procedure's
 /// summary (§2.3).
@@ -58,12 +50,9 @@
 #include "core/Domain.h"
 #include "core/Instrumentation.h"
 #include "core/Schedule.h"
-#include "support/ThreadPool.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -127,20 +116,9 @@ struct SolverOptions {
   /// Safety valve: abort (Converged=false) after this many node updates.
   uint64_t MaxUpdates = 5'000'000;
 
-  /// Worker threads for the parallel engine: up-front transformer
-  /// precompilation and the ParallelScc scheduler. 1 (the default) keeps
-  /// the solve fully sequential and pool-free; 0 means one worker per
-  /// hardware thread. Domains that do not declare ThreadSafeInterpret
-  /// (core/Domain.h) are always solved sequentially — Jobs > 1 then still
-  /// precompiles transformers up front, just on the calling thread.
+  /// Read by nothing (every solve is sequential); kept only because the
+  /// benchmark harness (perfbench/helper.cpp) still assigns it.
   unsigned Jobs = 1;
-
-  /// Component→worker affinity for the ParallelScc scheduler: pin an
-  /// SCC's stabilization to a fixed pool worker so its thread-local
-  /// conversion memos stay hot; the pool still steals from a saturated
-  /// owner. Fixpoints are identical either way — the switch exists for
-  /// A/B measurement and the parity sweep.
-  bool Affinity = true;
 
   /// Numeric backend for polyhedra-based domains. Consumed by the
   /// harnesses when they construct the domain (the solver template never
@@ -204,6 +182,7 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
     NumericBefore = D::numericStats();
 
   AnalysisResult<Value> Result;
+  SolverStats &Stats = Result.Stats;
   // Warm start: adopt the prior fixpoint wholesale, then reset the dirty
   // region to bottom so it re-iterates exactly as a cold solve would.
   // Clean nodes are frozen — Update() below never touches them.
@@ -227,79 +206,29 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   // across solves; rooted at the exits so values flow leaf-to-root, §2.3).
   const cfg::Wto &Order = Compiled.wto();
 
-  // Parallel engine setup. The pool is per-solve (distinct from the
-  // process-wide shared pool the matrix kernels use) and only exists when
-  // both the caller asked for parallelism and the domain allows it.
-  const unsigned Jobs = Opts.Jobs == 0
-                            ? support::ThreadPool::hardwareConcurrency()
-                            : Opts.Jobs;
-  constexpr bool ParallelSafe = threadSafeInterpret<D>();
-  std::unique_ptr<support::ThreadPool> Pool;
-  if (Jobs > 1 && ParallelSafe)
-    Pool = std::make_unique<support::ThreadPool>(Jobs);
-  Result.Stats.JobsUsed = Pool ? Pool->size() : 1;
-
-  // Domains with parallel-phase hooks (core/Domain.h) reroute their
-  // operations through per-thread state between these brackets; the guard
-  // covers the parallel scheduler's whole iteration and closes only after
-  // it quiesces. Sequential strategies skip the solve-wide bracket even
-  // with Jobs > 1 — their iteration runs on the calling thread, and
-  // precompile() brackets its own fan-out — so they keep the domains'
-  // direct (arena-free) path. Workers = pool + caller.
-  ParallelPhase<D> Phase(Dom, Pool ? Pool->size() + 1 : 1,
-                         Pool != nullptr &&
-                             Opts.Strategy == IterationStrategy::ParallelScc);
-
-  // With more than one job requested, pay for every transformer up front
-  // (in parallel when the domain permits) so the iteration phase never
-  // stalls on an interpret.
-  if (Jobs > 1) {
-    auto PrecompileStart = std::chrono::steady_clock::now();
-    Result.Stats.PrecompiledTransformers = Compiled.precompile(Pool.get());
-    Result.Stats.PrecompileSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      PrecompileStart)
-            .count();
-  }
-
   std::vector<unsigned> UpdateCount(NumNodes, 0);
 
-  // Shared update accounting. Atomics because ParallelScc runs Update from
-  // several workers at once; relaxed ordering suffices — these are pure
-  // counters, and the scheduler orders the value vector itself.
-  std::atomic<uint64_t> NodeUpdates{0};
-  std::atomic<uint64_t> ValueChanges{0};
-  std::atomic<uint64_t> WideningApplications{0};
-  std::atomic<uint64_t> ComponentStabilizations{0};
-  std::atomic<bool> Converged{true};
-
-  // Updates node V; returns true if its value changed. Safe to call
-  // concurrently for nodes in different SCCs: per-node state (Values,
-  // UpdateCount) is only ever touched by the worker that owns V's SCC.
+  // Updates node V; returns true if its value changed.
   auto Update = [&](unsigned V) -> bool {
     // Frozen under warm start: the prior fixpoint value stands, no
     // domain operation and no budget charge. Clean SCCs thus stabilize
-    // in one trivial pass under every scheduler (the full WTO is kept —
-    // filtering it would corrupt the parallel scheduler's SCC indexing).
+    // in one trivial pass under every scheduler.
     if (DirtyMask && !(*DirtyMask)[V])
       return false;
     if (!Graph.outgoing(V))
       return false; // Exit nodes are pinned at 1.
-    if (NodeUpdates.fetch_add(1, std::memory_order_relaxed) + 1 >
-        Opts.MaxUpdates) {
-      // Give the refused increment back so the final tally is exactly
-      // the budget, not budget + however many refusals happened before
-      // the schedulers noticed Exhausted().
-      NodeUpdates.fetch_sub(1, std::memory_order_relaxed);
-      Converged.store(false, std::memory_order_relaxed);
+    if (Stats.NodeUpdates >= Opts.MaxUpdates) {
+      // The budget is spent: the tally stays exactly at it.
+      Stats.Converged = false;
       return false;
     }
+    ++Stats.NodeUpdates;
     Value New = Compiled.evalRhs(V, Result.Values);
     bool Widen = Opts.UseWidening && Order.WideningPoint[V] &&
                  UpdateCount[V] >= Opts.WideningDelay;
     ++UpdateCount[V];
     if (Widen) {
-      WideningApplications.fetch_add(1, std::memory_order_relaxed);
+      ++Stats.WideningApplications;
       const Value &Old = Result.Values[V];
       if (Opts.UnifiedWidening) {
         New = Dom.widenNdet(Old, New);
@@ -334,7 +263,7 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
     }
     if (Dom.equal(Result.Values[V], New))
       return false;
-    ValueChanges.fetch_add(1, std::memory_order_relaxed);
+    ++Stats.ValueChanges;
     Result.Values[V] = std::move(New);
     return true;
   };
@@ -343,82 +272,60 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   // once per solve rather than once per scheduler run.
   std::vector<unsigned> Positions = Order.positions();
 
-  std::atomic<unsigned> MaxParallelSccs{1};
-
   ScheduleContext Ctx;
   Ctx.NumNodes = NumNodes;
   Ctx.Order = &Order;
   Ctx.Dependents = &Compiled.dependents();
   Ctx.Positions = &Positions;
   Ctx.Update = Update;
-  Ctx.Exhausted = [&Converged] {
-    return !Converged.load(std::memory_order_relaxed);
-  };
-  Ctx.ComponentStabilizations = &ComponentStabilizations;
-  Ctx.Pool = Pool.get();
-  Ctx.ParallelSafe = ParallelSafe;
-  Ctx.Affinity = Opts.Affinity;
-  Ctx.MaxParallelSccs = &MaxParallelSccs;
+  Ctx.Exhausted = [&Stats] { return !Stats.Converged; };
+  Ctx.ComponentStabilizations = &Stats.ComponentStabilizations;
   makeScheduler(Opts.Strategy)->run(Ctx);
 
-  Result.Stats.MaxParallelSccs =
-      MaxParallelSccs.load(std::memory_order_relaxed);
-  Result.Stats.NodeUpdates = NodeUpdates.load(std::memory_order_relaxed);
-  Result.Stats.ValueChanges = ValueChanges.load(std::memory_order_relaxed);
-  Result.Stats.WideningApplications =
-      WideningApplications.load(std::memory_order_relaxed);
-  Result.Stats.ComponentStabilizations =
-      ComponentStabilizations.load(std::memory_order_relaxed);
-  Result.Stats.Converged = Converged.load(std::memory_order_relaxed);
-  // Warm-start reuse accounting: frozen nodes, and the component-level
-  // split of the WTO into all-clean (skipped) and dirty (re-resolved)
-  // SCCs. A cold solve resolves every component and reuses nothing.
-  {
-    if (DirtyMask)
-      for (unsigned V = 0; V != NumNodes; ++V)
-        Result.Stats.NodesReused += (*DirtyMask)[V] ? 0 : 1;
+  // Warm-start reuse accounting, only under a warm start (cold solves
+  // report zero): frozen nodes, and the split of the WTO's components
+  // into all-clean (skipped) and dirty (re-resolved) ones.
+  if (DirtyMask) {
+    for (unsigned V = 0; V != NumNodes; ++V)
+      Stats.NodesReused += (*DirtyMask)[V] ? 0 : 1;
     auto Visit = [&](auto &&Self, const cfg::WtoElement &E) -> bool {
-      bool AllClean = !DirtyMask || !(*DirtyMask)[E.Node];
+      bool AllClean = !(*DirtyMask)[E.Node];
       for (const cfg::WtoElement &Child : E.Body)
         AllClean &= Self(Self, Child);
       if (E.IsComponent)
-        ++(AllClean ? Result.Stats.SccsSkipped : Result.Stats.SccsResolved);
+        ++(AllClean ? Stats.SccsSkipped : Stats.SccsResolved);
       return AllClean;
     };
     for (const cfg::WtoElement &E : Order.Elements)
       Visit(Visit, E);
   }
-  Result.Stats.InterpretCalls =
+  Stats.InterpretCalls =
       Compiled.interpretCalls() - InterpretCallsBefore;
-  Result.Stats.InterpretCacheHits =
+  Stats.InterpretCacheHits =
       Compiled.interpretCacheHits() - InterpretHitsBefore;
-  // The pool is per-solve, so its lifetime counters are this solve's
-  // queueing story (precompilation fan-out included).
-  if (Pool)
-    Result.Stats.PoolWorkers = Pool->workerQueueStats();
   if constexpr (ReportsNumericStats<D>) {
     NumericLayerStats Now = D::numericStats();
-    Result.Stats.Numeric.MinimizationCalls =
+    Stats.Numeric.MinimizationCalls =
         Now.MinimizationCalls - NumericBefore.MinimizationCalls;
-    Result.Stats.Numeric.ConversionCacheHits =
+    Stats.Numeric.ConversionCacheHits =
         Now.ConversionCacheHits - NumericBefore.ConversionCacheHits;
-    Result.Stats.Numeric.ConversionCacheMisses =
+    Stats.Numeric.ConversionCacheMisses =
         Now.ConversionCacheMisses - NumericBefore.ConversionCacheMisses;
-    Result.Stats.Numeric.SharedCacheHits =
+    Stats.Numeric.SharedCacheHits =
         Now.SharedCacheHits - NumericBefore.SharedCacheHits;
-    Result.Stats.Numeric.CacheEvictions =
+    Stats.Numeric.CacheEvictions =
         Now.CacheEvictions - NumericBefore.CacheEvictions;
-    Result.Stats.Numeric.Escalations =
+    Stats.Numeric.Escalations =
         Now.Escalations - NumericBefore.Escalations;
-    Result.Stats.Numeric.PeakGeneratorRows = Now.PeakGeneratorRows;
-    Result.Stats.Numeric.MaxPackWidth = Now.MaxPackWidth;
+    Stats.Numeric.PeakGeneratorRows = Now.PeakGeneratorRows;
+    Stats.Numeric.MaxPackWidth = Now.MaxPackWidth;
   }
-  Result.Stats.SolveSeconds = std::chrono::duration<double>(
+  Stats.SolveSeconds = std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() -
                                   SolveStart)
                                   .count();
   if (Counters)
-    Counters->add(Result.Stats);
+    Counters->add(Stats);
   return Result;
 }
 

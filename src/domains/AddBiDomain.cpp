@@ -9,69 +9,18 @@ using namespace pmaf::add;
 using namespace pmaf::domains;
 using namespace pmaf::lang;
 
-/// One thread's compute state during a parallel phase. The migration memos
-/// persist for the arena's lifetime: NodeRefs are never invalidated on
-/// either side (managers never delete nodes), so each diagram crosses the
-/// home/arena boundary at most once per direction however many operations
-/// reuse it.
-struct AddBiDomain::Arena {
-  AddManager Local;
-  MigrationCache In;  // home NodeRef -> Local NodeRef
-  MigrationCache Out; // Local NodeRef -> home NodeRef
-};
-
 AddBiDomain::AddBiDomain(const BoolStateSpace &Space, double Tolerance)
     : Space(&Space), Mgr(std::make_unique<AddManager>()),
       Tolerance(Tolerance) {
-  Identity = frameFactorIn(*Mgr, ~0u);
-}
-
-AddBiDomain::~AddBiDomain() = default;
-
-//===----------------------------------------------------------------------===//
-// Parallel-phase plumbing
-//===----------------------------------------------------------------------===//
-
-void AddBiDomain::parallelBegin(unsigned /*Workers*/) const {
-  ParallelDepth.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void AddBiDomain::parallelEnd() const {
-  if (ParallelDepth.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    // Outermost bracket closed: the engine's pool threads are gone (or
-    // about to be), and per-solve pools spawn fresh threads every solve —
-    // keeping the arenas would only leak. Quiescence is the caller's
-    // contract, so dropping them here is safe.
-    Arenas.reset();
-}
-
-AddBiDomain::Arena &AddBiDomain::arena() const {
-  return Arenas.get([] { return std::make_unique<Arena>(); });
-}
-
-NodeRef AddBiDomain::importRef(Arena &Ar, NodeRef HomeRef) const {
-  std::lock_guard<std::mutex> Lock(HomeMutex);
-  size_t Before = Ar.In.size();
-  NodeRef Local = Ar.Local.migrate(HomeRef, *Mgr, Ar.In);
-  ImportedNodes.fetch_add(Ar.In.size() - Before,
-                          std::memory_order_relaxed);
-  return Local;
-}
-
-NodeRef AddBiDomain::exportRef(Arena &Ar, NodeRef LocalRef) const {
-  std::lock_guard<std::mutex> Lock(HomeMutex);
-  size_t Before = Ar.Out.size();
-  NodeRef Home = Mgr->migrate(LocalRef, Ar.Local, Ar.Out);
-  ExportedNodes.fetch_add(Ar.Out.size() - Before,
-                          std::memory_order_relaxed);
-  return Home;
+  Identity = frameFactor(~0u);
 }
 
 //===----------------------------------------------------------------------===//
-// Indicator construction (manager-parameterized)
+// Indicator construction
 //===----------------------------------------------------------------------===//
 
-NodeRef AddBiDomain::exprIndicatorIn(AddManager &M, const Expr &E) const {
+NodeRef AddBiDomain::exprIndicator(const Expr &E) const {
+  AddManager &M = *Mgr;
   switch (E.kind()) {
   case Expr::Kind::BoolLit:
     return E.boolValue() ? M.one() : M.zero();
@@ -85,7 +34,8 @@ NodeRef AddBiDomain::exprIndicatorIn(AddManager &M, const Expr &E) const {
   }
 }
 
-NodeRef AddBiDomain::condIndicatorIn(AddManager &M, const Cond &Phi) const {
+NodeRef AddBiDomain::condIndicator(const Cond &Phi) const {
+  AddManager &M = *Mgr;
   switch (Phi.kind()) {
   case Cond::Kind::True:
     return M.one();
@@ -94,8 +44,8 @@ NodeRef AddBiDomain::condIndicatorIn(AddManager &M, const Cond &Phi) const {
   case Cond::Kind::BoolVar:
     return M.indicator(rowLevel(Phi.varIndex()));
   case Cond::Kind::Cmp: {
-    NodeRef A = exprIndicatorIn(M, Phi.cmpLhs());
-    NodeRef B = exprIndicatorIn(M, Phi.cmpRhs());
+    NodeRef A = exprIndicator(Phi.cmpLhs());
+    NodeRef B = exprIndicator(Phi.cmpRhs());
     // xor = a + b - 2ab over 0/1 indicators.
     NodeRef Xor = M.apply(
         Op::Sub, M.apply(Op::Add, A, B),
@@ -111,20 +61,18 @@ NodeRef AddBiDomain::condIndicatorIn(AddManager &M, const Cond &Phi) const {
     }
   }
   case Cond::Kind::Not:
-    return M.affine(condIndicatorIn(M, Phi.operand()), -1.0, 1.0);
+    return M.affine(condIndicator(Phi.operand()), -1.0, 1.0);
   case Cond::Kind::And:
-    return M.apply(Op::Min, condIndicatorIn(M, Phi.lhs()),
-                   condIndicatorIn(M, Phi.rhs()));
+    return M.apply(Op::Min, condIndicator(Phi.lhs()), condIndicator(Phi.rhs()));
   case Cond::Kind::Or:
-    return M.apply(Op::Max, condIndicatorIn(M, Phi.lhs()),
-                   condIndicatorIn(M, Phi.rhs()));
+    return M.apply(Op::Max, condIndicator(Phi.lhs()), condIndicator(Phi.rhs()));
   }
   assert(false && "unknown condition kind");
   return M.zero();
 }
 
-NodeRef AddBiDomain::equalsFactorIn(AddManager &M, unsigned Var,
-                                    NodeRef Rhs) const {
+NodeRef AddBiDomain::equalsFactor(unsigned Var, NodeRef Rhs) const {
+  AddManager &M = *Mgr;
   // [col_Var == Rhs] = 1 - (col + rhs - 2 col rhs) over 0/1 indicators.
   NodeRef Col = M.indicator(colLevel(Var));
   NodeRef Xor = M.apply(
@@ -133,29 +81,30 @@ NodeRef AddBiDomain::equalsFactorIn(AddManager &M, unsigned Var,
   return M.affine(Xor, -1.0, 1.0);
 }
 
-NodeRef AddBiDomain::bernoulliFactorIn(AddManager &M, unsigned Var,
-                                       double P) const {
+NodeRef AddBiDomain::bernoulliFactor(unsigned Var, double P) const {
+  AddManager &M = *Mgr;
   // p at col=true, 1-p at col=false: (2p-1) col + (1-p).
   return M.affine(M.indicator(colLevel(Var)), 2.0 * P - 1.0, 1.0 - P);
 }
 
-NodeRef AddBiDomain::frameFactorIn(AddManager &M, unsigned SkipVar) const {
+NodeRef AddBiDomain::frameFactor(unsigned SkipVar) const {
+  AddManager &M = *Mgr;
   NodeRef Result = M.one();
   for (unsigned V = 0; V != Space->numVars(); ++V) {
     if (V == SkipVar)
       continue;
-    Result = M.apply(
-        Op::Mul, Result,
-        equalsFactorIn(M, V, M.indicator(rowLevel(V))));
+    Result =
+        M.apply(Op::Mul, Result, equalsFactor(V, M.indicator(rowLevel(V))));
   }
   return Result;
 }
 
 //===----------------------------------------------------------------------===//
-// Algebra operations (manager-parameterized cores)
+// Algebra operations
 //===----------------------------------------------------------------------===//
 
-NodeRef AddBiDomain::extendIn(AddManager &M, NodeRef A, NodeRef B) const {
+NodeRef AddBiDomain::extend(const Value &A, const Value &B) const {
+  AddManager &M = *Mgr;
   // (A ⊗ B)(x, x') = sum_t A(x, t) B(t, x'): move A's columns and B's rows
   // into the contraction slot (monotone renamings), multiply, sum out.
   NodeRef LiftedA = M.rename(A, [](unsigned Level) {
@@ -171,34 +120,38 @@ NodeRef AddBiDomain::extendIn(AddManager &M, NodeRef A, NodeRef B) const {
   return M.sumOut(Product, MidLevels);
 }
 
-NodeRef AddBiDomain::condChoiceIn(AddManager &M, const Cond &Phi,
-                                  NodeRef A, NodeRef B) const {
-  NodeRef Ind = condIndicatorIn(M, Phi);
+NodeRef AddBiDomain::condChoice(const Cond &Phi, const Value &A,
+                                const Value &B) const {
+  AddManager &M = *Mgr;
+  NodeRef Ind = condIndicator(Phi);
   NodeRef NotInd = M.affine(Ind, -1.0, 1.0);
   return M.apply(Op::Add, M.apply(Op::Mul, Ind, A),
                  M.apply(Op::Mul, NotInd, B));
 }
 
-NodeRef AddBiDomain::probChoiceIn(AddManager &M, const Rational &P,
-                                  NodeRef A, NodeRef B) const {
+NodeRef AddBiDomain::probChoice(const Rational &P, const Value &A,
+                                const Value &B) const {
   double Prob = P.toDouble();
-  return M.apply(Op::Add, M.scale(A, Prob), M.scale(B, 1.0 - Prob));
+  return Mgr->apply(Op::Add, Mgr->scale(A, Prob), Mgr->scale(B, 1.0 - Prob));
 }
 
-NodeRef AddBiDomain::interpretIn(AddManager &M, const Stmt *Action,
-                                 NodeRef IdentityIn) const {
+NodeRef AddBiDomain::ndetChoice(const Value &A, const Value &B) const {
+  return Mgr->apply(Op::Min, A, B);
+}
+
+NodeRef AddBiDomain::interpret(const Stmt *Action) const {
+  AddManager &M = *Mgr;
   if (!Action)
-    return IdentityIn;
+    return Identity;
   switch (Action->kind()) {
   case Stmt::Kind::Skip:
   case Stmt::Kind::Reward:
   case Stmt::Kind::Assert:
-    return IdentityIn;
+    return Identity;
   case Stmt::Kind::Assign:
-    return M.apply(
-        Op::Mul, frameFactorIn(M, Action->varIndex()),
-        equalsFactorIn(M, Action->varIndex(),
-                       exprIndicatorIn(M, Action->value())));
+    return M.apply(Op::Mul, frameFactor(Action->varIndex()),
+                   equalsFactor(Action->varIndex(),
+                                exprIndicator(Action->value())));
   case Stmt::Kind::Sample: {
     const Dist &D = Action->dist();
     unsigned X = Action->varIndex();
@@ -207,8 +160,8 @@ NodeRef AddBiDomain::interpretIn(AddManager &M, const Stmt *Action,
       assert(D.Params[0]->kind() == Expr::Kind::Number &&
              "Bernoulli parameter must be constant");
       return M.apply(
-          Op::Mul, frameFactorIn(M, X),
-          bernoulliFactorIn(M, X, D.Params[0]->number().toDouble()));
+          Op::Mul, frameFactor(X),
+          bernoulliFactor(X, D.Params[0]->number().toDouble()));
     }
     case Dist::Kind::Discrete: {
       double TrueMass = 0.0, FalseMass = 0.0;
@@ -217,97 +170,31 @@ NodeRef AddBiDomain::interpretIn(AddManager &M, const Stmt *Action,
             D.Weights[I].toDouble();
       NodeRef Col = M.indicator(colLevel(X));
       NodeRef Factor = M.affine(Col, TrueMass - FalseMass, FalseMass);
-      return M.apply(Op::Mul, frameFactorIn(M, X), Factor);
+      return M.apply(Op::Mul, frameFactor(X), Factor);
     }
     default:
       assert(false && "continuous distribution in a Boolean program");
-      return IdentityIn;
+      return Identity;
     }
   }
   case Stmt::Kind::Observe:
-    return M.apply(Op::Mul, IdentityIn,
-                   condIndicatorIn(M, Action->observed()));
+    return M.apply(Op::Mul, Identity, condIndicator(Action->observed()));
   default:
     assert(false && "not a data action");
-    return IdentityIn;
+    return Identity;
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Public operations: sequential path on the home manager, arena path
-// (import / compute / export) inside a parallel phase
-//===----------------------------------------------------------------------===//
-
-NodeRef AddBiDomain::extend(const Value &A, const Value &B) const {
-  if (!inParallel())
-    return extendIn(*Mgr, A, B);
-  Arena &Ar = arena();
-  NodeRef LA = importRef(Ar, A);
-  NodeRef LB = importRef(Ar, B);
-  return exportRef(Ar, extendIn(Ar.Local, LA, LB));
-}
-
-NodeRef AddBiDomain::condChoice(const Cond &Phi, const Value &A,
-                                const Value &B) const {
-  if (!inParallel())
-    return condChoiceIn(*Mgr, Phi, A, B);
-  Arena &Ar = arena();
-  NodeRef LA = importRef(Ar, A);
-  NodeRef LB = importRef(Ar, B);
-  return exportRef(Ar, condChoiceIn(Ar.Local, Phi, LA, LB));
-}
-
-NodeRef AddBiDomain::probChoice(const Rational &P, const Value &A,
-                                const Value &B) const {
-  if (!inParallel())
-    return probChoiceIn(*Mgr, P, A, B);
-  Arena &Ar = arena();
-  NodeRef LA = importRef(Ar, A);
-  NodeRef LB = importRef(Ar, B);
-  return exportRef(Ar, probChoiceIn(Ar.Local, P, LA, LB));
-}
-
-NodeRef AddBiDomain::ndetChoice(const Value &A, const Value &B) const {
-  if (!inParallel())
-    return Mgr->apply(Op::Min, A, B);
-  Arena &Ar = arena();
-  NodeRef LA = importRef(Ar, A);
-  NodeRef LB = importRef(Ar, B);
-  return exportRef(Ar, Ar.Local.apply(Op::Min, LA, LB));
-}
-
-NodeRef AddBiDomain::interpret(const Stmt *Action) const {
-  if (!inParallel())
-    return interpretIn(*Mgr, Action, Identity);
-  Arena &Ar = arena();
-  // The skip/observe cases thread the identity kernel through; importing
-  // it is memoized, and exporting it back lands on the original home ref
-  // (hash-consing makes migration round-trips the identity map).
-  NodeRef LocalIdentity = importRef(Ar, Identity);
-  return exportRef(Ar, interpretIn(Ar.Local, Action, LocalIdentity));
-}
-
 bool AddBiDomain::leq(const Value &A, const Value &B) const {
-  if (!inParallel())
-    return Mgr->maxTerminal(Mgr->apply(Op::Sub, A, B)) <= Tolerance;
-  Arena &Ar = arena();
-  NodeRef LA = importRef(Ar, A);
-  NodeRef LB = importRef(Ar, B);
-  return Ar.Local.maxTerminal(Ar.Local.apply(Op::Sub, LA, LB)) <=
-         Tolerance;
+  return Mgr->maxTerminal(Mgr->apply(Op::Sub, A, B)) <= Tolerance;
 }
 
 bool AddBiDomain::equal(const Value &A, const Value &B) const {
-  // Home refs are canonical (one node per function), so reference equality
-  // decides extensional equality — in both modes.
+  // Refs are canonical (one node per function), so reference equality
+  // decides extensional equality.
   if (A == B)
     return true;
-  if (!inParallel())
-    return Mgr->maxAbsDiff(A, B) <= Tolerance;
-  Arena &Ar = arena();
-  NodeRef LA = importRef(Ar, A);
-  NodeRef LB = importRef(Ar, B);
-  return Ar.Local.maxAbsDiff(LA, LB) <= Tolerance;
+  return Mgr->maxAbsDiff(A, B) <= Tolerance;
 }
 
 //===----------------------------------------------------------------------===//
@@ -315,8 +202,9 @@ bool AddBiDomain::equal(const Value &A, const Value &B) const {
 //===----------------------------------------------------------------------===//
 
 std::vector<double>
-AddBiDomain::posteriorIn(AddManager &M, NodeRef Summary,
-                         const std::vector<double> &Prior) const {
+AddBiDomain::posterior(const Value &Summary,
+                       const std::vector<double> &Prior) const {
+  AddManager &M = *Mgr;
   assert(Prior.size() == Space->numStates() &&
          "prior dimension mismatch");
   unsigned N = Space->numVars();
@@ -347,22 +235,7 @@ AddBiDomain::posteriorIn(AddManager &M, NodeRef Summary,
   return Result;
 }
 
-std::vector<double>
-AddBiDomain::posterior(const Value &Summary,
-                       const std::vector<double> &Prior) const {
-  if (!inParallel())
-    return posteriorIn(*Mgr, Summary, Prior);
-  Arena &Ar = arena();
-  NodeRef Local = importRef(Ar, Summary);
-  return posteriorIn(Ar.Local, Local, Prior);
-}
-
 Matrix AddBiDomain::toMatrix(const Value &A) const {
-  // Pure read of the home diagram; lock out concurrent migrations (which
-  // grow the home node store) while a parallel phase is open.
-  std::unique_lock<std::mutex> Lock(HomeMutex, std::defer_lock);
-  if (inParallel())
-    Lock.lock();
   size_t N = Space->numStates();
   Matrix Result(N, N);
   for (size_t Row = 0; Row != N; ++Row)
@@ -376,9 +249,6 @@ Matrix AddBiDomain::toMatrix(const Value &A) const {
 }
 
 size_t AddBiDomain::nodeCount(const Value &A) const {
-  std::unique_lock<std::mutex> Lock(HomeMutex, std::defer_lock);
-  if (inParallel())
-    Lock.lock();
   return Mgr->nodeCount(A);
 }
 

@@ -60,11 +60,6 @@ class BiDomain {
 public:
   using Value = Matrix;
 
-  /// Every operation reads only the immutable state space: concurrent
-  /// interpret/extend/equal calls on one instance are safe, so the engine
-  /// may precompile transformers and stabilize SCCs in parallel.
-  static constexpr bool ThreadSafeInterpret = true;
-
   /// \param Space Boolean state space of the program under analysis.
   /// \param Tolerance equality tolerance for fixpoint detection.
   explicit BiDomain(const BoolStateSpace &Space, double Tolerance = 1e-12)

@@ -2,21 +2,11 @@
 
 #include "linalg/Matrix.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 using namespace pmaf;
-
-namespace {
-
-/// Parallelize a product only when it is worth a trip through the pool:
-/// below ~64^3 multiply-adds the fork/join overhead dominates.
-constexpr size_t ParallelFlopThreshold = size_t(1) << 18;
-
-} // namespace
 
 Matrix Matrix::identity(size_t Size) {
   Matrix Result(Size, Size);
@@ -28,30 +18,19 @@ Matrix Matrix::identity(size_t Size) {
 Matrix Matrix::operator*(const Matrix &Other) const {
   assert(NumCols == Other.NumRows && "matrix product dimension mismatch");
   Matrix Result(NumRows, Other.NumCols);
-  // One row block, rows [RowBegin, RowEnd). The i-k-j loop order streams
-  // both Other and the output row-major; the zero test skips the sparse
-  // bulk of transformer matrices. Each output row is accumulated in the
-  // same k-order no matter how rows are blocked, so sequential and
-  // parallel products agree bit-for-bit.
-  auto RowBlock = [&](size_t RowBegin, size_t RowEnd) {
-    for (size_t I = RowBegin; I != RowEnd; ++I) {
-      for (size_t K = 0; K != NumCols; ++K) {
-        double Lhs = Data[I * NumCols + K];
-        if (Lhs == 0.0)
-          continue;
-        const double *OtherRow = &Other.Data[K * Other.NumCols];
-        double *OutRow = &Result.Data[I * Other.NumCols];
-        for (size_t J = 0; J != Other.NumCols; ++J)
-          OutRow[J] += Lhs * OtherRow[J];
-      }
+  // The i-k-j loop order streams both Other and the output row-major; the
+  // zero test skips the sparse bulk of transformer matrices.
+  for (size_t I = 0; I != NumRows; ++I) {
+    double *OutRow = &Result.Data[I * Other.NumCols];
+    for (size_t K = 0; K != NumCols; ++K) {
+      double Lhs = Data[I * NumCols + K];
+      if (Lhs == 0.0)
+        continue;
+      const double *OtherRow = &Other.Data[K * Other.NumCols];
+      for (size_t J = 0; J != Other.NumCols; ++J)
+        OutRow[J] += Lhs * OtherRow[J];
     }
-  };
-  support::ThreadPool *Pool = support::sharedPool();
-  if (Pool && NumRows > 1 &&
-      NumRows * NumCols * Other.NumCols >= ParallelFlopThreshold)
-    Pool->parallelForChunks(0, NumRows, RowBlock);
-  else
-    RowBlock(0, NumRows);
+  }
   return Result;
 }
 

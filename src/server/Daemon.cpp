@@ -9,7 +9,6 @@
 #include "core/Instrumentation.h"
 #include "core/Schedule.h"
 #include "server/Protocol.h"
-#include "support/ThreadPool.h"
 
 #include <csignal>
 #include <cstdio>
@@ -237,22 +236,6 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
     return R.dump();
   }
 
-  if (Name == "configure") {
-    OptUnsigned Jobs = getUnsigned(*Req, "jobs");
-    if (!Jobs.Ok || !Jobs.Value || *Jobs.Value > 65536)
-      return errorReply("invalid-flag-value",
-                        "configure requires \"jobs\", an unsigned integer")
-          .dump();
-    std::string Why;
-    if (!support::setSharedParallelism(static_cast<unsigned>(*Jobs.Value),
-                                       &Why))
-      return errorReply("pool-busy", Why).dump();
-    Json R = Json::object();
-    R.set("ok", Json::boolean(true));
-    R.set("jobs", Json::number(uint64_t(support::sharedParallelism())));
-    return R.dump();
-  }
-
   if (Name == "load") {
     const Json *Source = Req->get("source");
     if (!Source || !Source->isString())
@@ -334,28 +317,22 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
       }
       R.set("requests",
             Json::number(Requests.load(std::memory_order_relaxed)));
-      Json Pool = Json::object();
-      Pool.set("parallelism",
-               Json::number(uint64_t(support::sharedParallelism())));
-      if (const support::ThreadPool *P = support::sharedPool()) {
-        support::ThreadPool::WorkerQueueStats Total;
-        for (const auto &W : P->workerQueueStats())
-          Total += W;
-        Pool.set("tasks_run", Json::number(Total.TasksRun));
-        Pool.set("steals", Json::number(Total.Steals));
-        Pool.set("affinity_hits", Json::number(Total.AffinityHits));
-      }
-      R.set("pool", Pool);
       return R.dump();
     }
 
     // analyze
+    // Every solve is sequential: the thread-count and worker-affinity
+    // keys of earlier protocol versions are refused, not ignored.
+    for (const char *Removed : {"jobs", "affinity"})
+      if (Req->get(Removed))
+        return errorReply("invalid-flag-value",
+                          std::string("\"") + Removed +
+                              "\" is no longer accepted: every solve is "
+                              "sequential")
+            .dump();
     AnalyzeRequest AReq;
-    AReq.Affinity = Opts.Affinity;
     AReq.Cold = getBool(*Req, "cold", false);
     AReq.Werror = getBool(*Req, "werror", false);
-    if (const Json *J = Req->get("affinity"))
-      AReq.Affinity = J->asBool(Opts.Affinity);
     if (const Json *J = Req->get("strategy")) {
       std::optional<core::IterationStrategy> Strategy =
           J->isString() ? core::parseIterationStrategy(J->asString())
@@ -368,13 +345,8 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
             .dump();
       AReq.Strategy = Strategy;
     }
-    OptUnsigned Jobs = getUnsigned(*Req, "jobs");
     OptUnsigned Delay = getUnsigned(*Req, "widening_delay");
     OptUnsigned MaxUpdates = getUnsigned(*Req, "max_updates");
-    if (!Jobs.Ok || (Jobs.Value && *Jobs.Value > 65536))
-      return errorReply("invalid-flag-value",
-                        "\"jobs\" must be an unsigned integer")
-          .dump();
     if (!Delay.Ok || (Delay.Value && *Delay.Value > 0xffffffffull))
       return errorReply("invalid-flag-value",
                         "\"widening_delay\" must be an unsigned integer")
@@ -383,8 +355,6 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
       return errorReply("invalid-flag-value",
                         "\"max_updates\" must be an unsigned integer")
           .dump();
-    if (Jobs.Value)
-      AReq.Jobs = static_cast<unsigned>(*Jobs.Value);
     if (Delay.Value)
       AReq.WideningDelay = static_cast<unsigned>(*Delay.Value);
     if (MaxUpdates.Value)
@@ -418,14 +388,6 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
 }
 
 int pmaf::server::runDaemon(const DaemonOptions &Opts) {
-  if (Opts.Jobs != 1) {
-    std::string Why;
-    if (!support::setSharedParallelism(Opts.Jobs, &Why))
-      std::fprintf(stderr,
-                   "warning: --jobs=%u not applied to the shared pool: %s "
-                   "[pool-busy]\n",
-                   Opts.Jobs, Why.c_str());
-  }
   Daemon D(Opts);
   std::string Error;
   if (!D.start(Error)) {

@@ -9,13 +9,8 @@
 /// JSON protocol of server/Protocol.h, one thread per connection, with a
 /// shared registry of named resident Sessions. Connections are
 /// independent — two clients analyzing two sessions solve concurrently,
-/// their heavy matrix kernels batching through the one process-wide
-/// work-stealing pool — while requests against the *same* session
-/// serialize on the session lock.
-///
-/// Solves run on the connection threads, never as shared-pool tasks:
-/// a solve *uses* the pool (parallelFor from inside a pool task would
-/// deadlock the workers on themselves).
+/// each solve sequential on its connection's thread — while requests
+/// against the *same* session serialize on the session lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,13 +36,6 @@ struct DaemonOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back via
   /// Daemon::port(), printed by runDaemon).
   uint16_t Port = 0;
-  /// Shared-pool width to establish at startup (the CLI's --jobs);
-  /// 1 keeps solves sequential unless a request asks for more, 0 means
-  /// one worker per hardware thread.
-  unsigned Jobs = 1;
-  /// Default component->worker affinity for solves (requests may
-  /// override per analyze).
-  bool Affinity = true;
 };
 
 /// The daemon: bind/listen/accept plus the request dispatcher. Embeddable

@@ -320,10 +320,6 @@ public:
       Opts.WideningDelay = *Req.WideningDelay;
     if (Req.MaxUpdates)
       Opts.MaxUpdates = *Req.MaxUpdates;
-    if (Req.Jobs)
-      Opts.Jobs = *Req.Jobs;
-    if (Req.Affinity)
-      Opts.Affinity = *Req.Affinity;
 
     const unsigned NumNodes = Graph->numNodes();
     core::WarmStart<Value> Warm;

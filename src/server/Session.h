@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A Session is one resident program under analysis: the parsed AST, the
-/// lowered hyper-graph, the WTO, the precompiled transformer cache, and
+/// lowered hyper-graph, the WTO, the transformer cache, and
 /// the last fixpoint all stay in memory between requests, so repeated
 /// `analyze` calls pay nothing for what has not changed.
 ///
@@ -21,7 +21,7 @@
 /// the prior fixpoint warm-starts the next solve (core::WarmStart) with
 /// only the dirty closure re-iterated from bottom. The result is
 /// bit-identical to a from-scratch solve — ServerTest proves it per
-/// procedure across domains and job counts — because clean nodes read
+/// procedure across domains — because clean nodes read
 /// only clean nodes (the closure is dependence-closed) and dirty nodes
 /// restart with cold widening histories against clean inputs already at
 /// their (identical) fixpoints.
@@ -32,8 +32,8 @@
 /// and the procedure skeleton are unchanged.
 ///
 /// Sessions are internally locked: one analyze/edit runs at a time per
-/// session, while different sessions proceed concurrently (heavy matrix
-/// kernels still batch through the process-wide shared pool).
+/// session, while different sessions proceed concurrently (each on its
+/// caller's thread; a solve itself is sequential).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +79,7 @@ struct AnalyzeRequest {
   std::optional<core::IterationStrategy> Strategy;
   std::optional<unsigned> WideningDelay;
   std::optional<uint64_t> MaxUpdates;
-  std::optional<unsigned> Jobs;
+  /// Read by nothing; kept only because perfbench/helper.cpp assigns it.
   std::optional<bool> Affinity;
   /// Discard all resident artifacts first and solve from scratch — the
   /// reference point incremental replies are measured (and tested)

@@ -2,27 +2,20 @@
 //
 // The scheduler layer (core/Schedule.h) promises that chaotic-iteration
 // order is a performance knob, not a semantics knob: WTO-recursive,
-// round-robin, the dependency-driven worklist, and the parallel per-SCC
-// scheduler must reach Dom.equal fixpoints. This suite checks that
-// node-by-node on every benchmark program of §6.2
-// (src/benchmarks/Programs.cpp) across all four domains — BI, ADD-backed
-// BI, MDP, and LEIA — and additionally checks the interpret-cache
-// invariant: each solve calls Dom.interpret at most once per `seq` edge,
-// and only cache hits follow.
+// round-robin and the dependency-driven worklist must reach Dom.equal
+// fixpoints. This suite checks that node-by-node on every benchmark
+// program of §6.2 (src/benchmarks/Programs.cpp) across all four domains —
+// BI, ADD-backed BI, MDP, and LEIA — and additionally checks the
+// interpret-cache invariant: each solve calls Dom.interpret at most once
+// per `seq` edge, and only cache hits follow.
 //
-// The parallel scheduler promises more than tolerance-equality: because
-// each SCC is stabilized by a single worker replaying the sequential
-// WTO-recursive update sequence, and cross-SCC reads only see finalized
-// upstream components, its fixpoints are *bit-identical* to the
-// WTO-recursive one. The BitIdentical* tests pin that down with exact
-// comparisons (no tolerance) across jobs in {1, 2, 8}, and component->worker affinity both on and off (the
-// work-stealing pool's placement and stealing decisions must never leak
-// into the fixpoint): Matrix::operator== for BI, double == for MDP, exact rational
-// toString for LEIA, and NodeRef identity (shared hash-consing home
-// manager) for ADD-BI — the latter running truly multi-threaded: workers
-// compute in thread-local arena managers and publish through canonical
-// migration into the home manager, so the parallel fixpoint's NodeRefs
-// still match the sequential ones exactly.
+// The BitIdentical* tests pin determinism with exact comparisons (no
+// tolerance): under every strategy, re-solving over the same compiled
+// program (every transformer cached, the domain's own caches warm)
+// reproduces the first fixpoint, and so does a solve over a fresh domain
+// under the default strategy: Matrix::operator== for BI, double == for
+// MDP, exact rational toString for LEIA, and NodeRef identity for ADD-BI
+// (one shared manager, so its apply caches are warm on the repeat).
 //
 // Two numeric subtleties the setup accounts for:
 //  * Each solve stops when successive iterates agree to the domain's
@@ -49,6 +42,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace pmaf;
 using namespace pmaf::core;
 using namespace pmaf::domains;
@@ -59,11 +54,7 @@ constexpr IterationStrategy AllStrategies[] = {
     IterationStrategy::WtoRecursive,
     IterationStrategy::RoundRobin,
     IterationStrategy::Worklist,
-    IterationStrategy::ParallelScc,
 };
-
-/// The worker counts the BitIdentical* tests sweep parallel-scc across.
-constexpr unsigned ParallelJobCounts[] = {1, 2, 8};
 
 /// Counts the `seq` hyper-edges of \p Graph (the interpret-cache key set).
 unsigned countSeqEdges(const cfg::ProgramGraph &Graph) {
@@ -91,9 +82,6 @@ void expectParity(const char *Name, const cfg::ProgramGraph &Graph,
   for (IterationStrategy Strategy : AllStrategies) {
     decltype(auto) Dom = MakeDomain();
     Opts.Strategy = Strategy;
-    // The parallel scheduler actually runs multi-threaded (for domains
-    // that allow it); the others stay sequential.
-    Opts.Jobs = Strategy == IterationStrategy::ParallelScc ? 4 : 1;
     auto Result = solve(Graph, Dom, Opts);
     ASSERT_TRUE(Result.Stats.Converged)
         << Name << " under " << toString(Strategy);
@@ -111,37 +99,38 @@ void expectParity(const char *Name, const cfg::ProgramGraph &Graph,
   }
 }
 
-/// Solves under WTO-recursive (sequential) once, then under parallel-scc
-/// at every ParallelJobCounts worker count, and checks every parallel
-/// fixpoint is bit-identical to the sequential one under the exact
-/// predicate \p Identical (no tolerance involved).
+/// Under every strategy: solves \p Graph over a domain from \p MakeDomain,
+/// re-solves over the same compiled program, and checks the repeat is
+/// identical to the first fixpoint under the exact predicate \p Identical;
+/// under the default strategy, also solves over a second domain from
+/// \p MakeDomain and checks that one too.
 template <typename MakeDomainFn, typename IdenticalFn>
 void expectBitIdentical(const char *Name, const cfg::ProgramGraph &Graph,
                         SolverOptions Opts, MakeDomainFn MakeDomain,
                         IdenticalFn Identical) {
-  decltype(auto) SeqDom = MakeDomain();
-  Opts.Strategy = IterationStrategy::WtoRecursive;
-  Opts.Jobs = 1;
-  auto Sequential = solve(Graph, SeqDom, Opts);
-  ASSERT_TRUE(Sequential.Stats.Converged) << Name;
-
-  Opts.Strategy = IterationStrategy::ParallelScc;
-  for (unsigned Jobs : ParallelJobCounts)
-    for (bool Affinity : {true, false}) {
-      decltype(auto) ParDom = MakeDomain();
-      Opts.Jobs = Jobs;
-      Opts.Affinity = Affinity;
-      auto Parallel = solve(Graph, ParDom, Opts);
-      ASSERT_TRUE(Parallel.Stats.Converged)
-          << Name << " under parallel-scc jobs=" << Jobs
-          << " affinity=" << (Affinity ? "on" : "off");
-      ASSERT_EQ(Sequential.Values.size(), Parallel.Values.size());
-      for (unsigned V = 0; V != Sequential.Values.size(); ++V)
-        EXPECT_TRUE(Identical(Sequential.Values[V], Parallel.Values[V]))
-            << Name << " under parallel-scc jobs=" << Jobs
-            << " affinity=" << (Affinity ? "on" : "off") << ": node " << V
-            << " is not bit-identical to the sequential fixpoint";
+  auto ExpectIdentical = [&](const auto &A, const auto &B, const char *What) {
+    ASSERT_EQ(A.Values.size(), B.Values.size());
+    for (unsigned V = 0; V != A.Values.size(); ++V)
+      EXPECT_TRUE(Identical(A.Values[V], B.Values[V]))
+          << Name << " under " << toString(Opts.Strategy) << ": node " << V
+          << " differs " << What;
+  };
+  for (IterationStrategy Strategy : AllStrategies) {
+    Opts.Strategy = Strategy;
+    decltype(auto) Dom = MakeDomain();
+    CompiledProgram<std::remove_cvref_t<decltype(Dom)>> Compiled(Graph, Dom);
+    auto First = solve(Compiled, Opts);
+    ASSERT_TRUE(First.Stats.Converged)
+        << Name << " under " << toString(Strategy);
+    auto Repeat = solve(Compiled, Opts);
+    EXPECT_EQ(Repeat.Stats.InterpretCalls, 0u) << Name;
+    ExpectIdentical(First, Repeat, "on the repeat solve");
+    if (Strategy == SolverOptions().Strategy) {
+      decltype(auto) FreshDom = MakeDomain();
+      ExpectIdentical(First, solve(Graph, FreshDom, Opts),
+                      "on a fresh domain");
     }
+  }
 }
 
 } // namespace
@@ -217,10 +206,7 @@ TEST(SchedulerParityTest, BitIdenticalAddBiDomain) {
     BoolStateSpace Space(*Prog);
     SolverOptions Opts;
     Opts.UseWidening = false;
-    // One shared domain makes NodeRef identity meaningful: the parallel
-    // run computes in per-worker arenas but every published Value is a
-    // NodeRef in the same home manager, canonically migrated, so it must
-    // coincide with the sequential run's NodeRef exactly.
+    // One shared domain makes NodeRef identity meaningful.
     AddBiDomain Shared(Space);
     expectBitIdentical(Bench.Name, Graph, Opts,
                        [&]() -> AddBiDomain & { return Shared; },

@@ -7,12 +7,12 @@
 //  1. Solver warm-starts (core::WarmStart): for every procedure of
 //     multi-procedure programs — the paper benchmarks and the random
 //     program families — re-solving with that procedure's dependence
-//     closure dirty must reproduce the cold fixpoint bit-for-bit, under
-//     both the sequential and the parallel scheduler.
+//     closure dirty must reproduce the cold fixpoint bit-for-bit.
 //
 //  2. Sessions: editing each procedure body in turn, the incremental
 //     analyze must report the same fingerprint and the same checker
-//     verdicts as a from-scratch session over the edited source.
+//     verdicts as a from-scratch session over the edited source, and
+//     report reuse only when it warm-started (zero on cold solves).
 //
 //  3. The wire protocol: JSON value semantics (strict unsigned reads,
 //     escaping, round-trips) and a live socket conversation against an
@@ -77,13 +77,10 @@ std::vector<unsigned> nodesOfProc(const cfg::ProgramGraph &Graph,
 /// fixpoints. \p Configure applies the domain's solver preset.
 template <typename D, typename ConfigureFn>
 void expectWarmMatchesCold(D &Dom, const cfg::ProgramGraph &Graph,
-                           unsigned Jobs, ConfigureFn Configure) {
+                           ConfigureFn Configure) {
   core::CompiledProgram<D> Compiled(Graph, Dom);
   core::SolverOptions Opts;
   Configure(Opts);
-  Opts.Jobs = Jobs;
-  if (Jobs > 1)
-    Opts.Strategy = core::IterationStrategy::ParallelScc;
   auto Cold = core::solve(Compiled, Opts);
   ASSERT_TRUE(Cold.Stats.Converged);
   for (unsigned P = 0; P != Graph.numProcs(); ++P) {
@@ -96,7 +93,7 @@ void expectWarmMatchesCold(D &Dom, const cfg::ProgramGraph &Graph,
     ASSERT_EQ(WarmRes.Values.size(), Cold.Values.size());
     for (unsigned V = 0; V != Graph.numNodes(); ++V)
       EXPECT_TRUE(Dom.equal(WarmRes.Values[V], Cold.Values[V]))
-          << "proc " << P << " node " << V << " jobs " << Jobs;
+          << "proc " << P << " node " << V;
     uint64_t CleanNodes = 0;
     for (char Dirty : Warm.Dirty)
       CleanNodes += Dirty == 0;
@@ -104,11 +101,11 @@ void expectWarmMatchesCold(D &Dom, const cfg::ProgramGraph &Graph,
   }
 }
 
-void expectBiWarmMatchesCold(const lang::Program &Prog, unsigned Jobs) {
+void expectBiWarmMatchesCold(const lang::Program &Prog) {
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
   domains::BoolStateSpace Space(Prog);
   domains::BiDomain Dom(Space);
-  expectWarmMatchesCold(Dom, Graph, Jobs, [](core::SolverOptions &O) {
+  expectWarmMatchesCold(Dom, Graph, [](core::SolverOptions &O) {
     O.UseWidening = false;
   });
 }
@@ -123,8 +120,7 @@ TEST(ServerSolverTest, BiWarmStartBitIdenticalOnBenchmarks) {
   for (const benchmarks::BenchProgram &BP : benchmarks::biPrograms()) {
     auto Prog = parseOrDie(BP.Source);
     ASSERT_TRUE(Prog) << BP.Name;
-    for (unsigned Jobs : {1u, 4u})
-      expectBiWarmMatchesCold(*Prog, Jobs);
+    expectBiWarmMatchesCold(*Prog);
   }
 }
 
@@ -135,8 +131,7 @@ TEST(ServerSolverTest, BiWarmStartBitIdenticalOnRandomFamilies) {
       Rng R(Seed);
       auto Prog = randomBoolProgram(R, Config);
       ASSERT_GT(Prog->Procs.size(), 1u);
-      for (unsigned Jobs : {1u, 4u})
-        expectBiWarmMatchesCold(*Prog, Jobs);
+      expectBiWarmMatchesCold(*Prog);
     }
   }
 }
@@ -147,10 +142,9 @@ TEST(ServerSolverTest, MdpWarmStartBitIdenticalOnBenchmarks) {
     ASSERT_TRUE(Prog) << BP.Name;
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
     domains::MdpDomain Dom;
-    for (unsigned Jobs : {1u, 4u})
-      expectWarmMatchesCold(Dom, Graph, Jobs, [](core::SolverOptions &O) {
-        O.WideningDelay = 10000;
-      });
+    expectWarmMatchesCold(Dom, Graph, [](core::SolverOptions &O) {
+      O.WideningDelay = 10000;
+    });
   }
 }
 
@@ -160,8 +154,7 @@ TEST(ServerSolverTest, LeiaWarmStartBitIdenticalOnRandomPrograms) {
     auto Prog = randomRealProgram(R, 3, 4);
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
     domains::LeiaDomainT<poly::LadderValue> Dom(*Prog);
-    for (unsigned Jobs : {1u, 4u})
-      expectWarmMatchesCold(Dom, Graph, Jobs, [](core::SolverOptions &) {});
+    expectWarmMatchesCold(Dom, Graph, [](core::SolverOptions &) {});
   }
 }
 
@@ -185,9 +178,37 @@ std::string splicedEdit(const BoolGenConfig &Config, uint64_t SeedA,
   return lang::toString(*A);
 }
 
+/// The WTO components of \p Source's graph (components nested in
+/// components included): what a warm start splits into skipped and
+/// re-resolved ones.
+uint64_t countComponents(const std::string &Source) {
+  auto Prog = parseOrDie(Source);
+  cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
+  domains::BoolStateSpace Space(*Prog);
+  domains::BiDomain Dom(Space);
+  core::CompiledProgram<domains::BiDomain> Compiled(Graph, Dom);
+  auto Count = [](const auto &Self, const cfg::WtoElement &E) -> uint64_t {
+    uint64_t N = E.IsComponent;
+    for (const cfg::WtoElement &Child : E.Body)
+      N += Self(Self, Child);
+    return N;
+  };
+  uint64_t N = 0;
+  for (const cfg::WtoElement &E : Compiled.wto().Elements)
+    N += Count(Count, E);
+  return N;
+}
+
+/// A cold solve reuses nothing.
+void expectNoReuse(const server::AnalyzeReply &R) {
+  EXPECT_FALSE(R.Reuse.Incremental);
+  EXPECT_EQ(R.Reuse.NodesReused, 0u);
+  EXPECT_EQ(R.Reuse.SccsSkipped, 0u);
+  EXPECT_EQ(R.Reuse.SccsResolved, 0u);
+}
+
 void expectSessionEditBitIdentical(const BoolGenConfig &Config,
-                                   uint64_t SeedA, uint64_t SeedB,
-                                   unsigned Jobs) {
+                                   uint64_t SeedA, uint64_t SeedB) {
   Rng RA(SeedA);
   auto A = randomBoolProgram(RA, Config);
   const std::string SourceA = lang::toString(*A);
@@ -200,12 +221,10 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
         Warm.load(SourceA, "bi", core::NumericBackend::Ladder);
     ASSERT_TRUE(LR.Ok) << LR.Error;
     server::AnalyzeRequest Req;
-    Req.Jobs = Jobs;
-    if (Jobs > 1)
-      Req.Strategy = core::IterationStrategy::ParallelScc;
     server::AnalyzeReply First = Warm.analyze(Req);
     ASSERT_TRUE(First.Ok) << First.Error;
     ASSERT_TRUE(First.Converged);
+    expectNoReuse(First);
     server::EditReply ER = Warm.edit(Edited);
     ASSERT_TRUE(ER.Ok) << ER.Error;
     EXPECT_FALSE(ER.FullRebuild);
@@ -218,11 +237,12 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
     server::AnalyzeReply FromScratch = Cold.analyze(Req);
     ASSERT_TRUE(FromScratch.Ok) << FromScratch.Error;
     ASSERT_TRUE(FromScratch.Converged);
+    expectNoReuse(FromScratch);
 
     // The incremental fixpoint, its checker verdicts, and the exit code
     // must be indistinguishable from a from-scratch solve.
     EXPECT_EQ(Incremental.Fingerprint, FromScratch.Fingerprint)
-        << "config proc " << P << " jobs " << Jobs;
+        << "config proc " << P;
     EXPECT_EQ(Incremental.ChecksJson, FromScratch.ChecksJson);
     EXPECT_EQ(Incremental.Exit, FromScratch.Exit);
     if (!ER.ChangedProcs.empty()) {
@@ -231,20 +251,22 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
         EXPECT_GT(Incremental.Reuse.NodesReused, 0u);
       }
     }
+    if (Incremental.Reuse.Incremental) {
+      EXPECT_EQ(Incremental.Reuse.SccsSkipped + Incremental.Reuse.SccsResolved,
+                countComponents(Edited))
+          << "config proc " << P;
+    }
   }
 }
 
 } // namespace
 
 TEST(ServerSessionTest, EditEachProcedureBitIdenticalCallHeavy) {
-  for (unsigned Jobs : {1u, 4u})
-    expectSessionEditBitIdentical(BoolGenConfig::callHeavy(), 101, 202,
-                                  Jobs);
+  expectSessionEditBitIdentical(BoolGenConfig::callHeavy(), 101, 202);
 }
 
 TEST(ServerSessionTest, EditEachProcedureBitIdenticalMixed) {
-  for (unsigned Jobs : {1u, 4u})
-    expectSessionEditBitIdentical(BoolGenConfig::mixed(), 303, 404, Jobs);
+  expectSessionEditBitIdentical(BoolGenConfig::mixed(), 303, 404);
 }
 
 TEST(ServerSessionTest, HelperEditReusesMostTransformerSlots) {
@@ -517,15 +539,25 @@ TEST(DaemonTest, StableErrorCodes) {
         fieldString(C.request(R"({"cmd":"analyze","strategy":"warp"})"),
                     "code"),
         "invalid-flag-value");
-    // The intra-component parallel strategy is gone; its old spelling is
-    // an unknown strategy like any other.
-    EXPECT_EQ(fieldString(C.request(
-                              R"({"cmd":"analyze","strategy":"parallel-intra"})"),
-                          "code"),
+    // The parallel strategies are gone; their old spellings are unknown
+    // strategies like any other.
+    for (const char *Removed : {"parallel-intra", "parallel-scc"})
+      EXPECT_EQ(fieldString(C.request(std::string(
+                                R"({"cmd":"analyze","strategy":")") +
+                                Removed + "\"}"),
+                            "code"),
+                "invalid-flag-value")
+          << Removed;
+    // Every solve is sequential: the thread-count and affinity keys are
+    // refused, and the pool-sizing command no longer exists.
+    EXPECT_EQ(fieldString(C.request(R"({"cmd":"analyze","jobs":2})"), "code"),
               "invalid-flag-value");
-    EXPECT_EQ(fieldString(C.request(R"({"cmd":"configure","jobs":-1})"),
+    EXPECT_EQ(
+        fieldString(C.request(R"({"cmd":"analyze","affinity":true})"), "code"),
+        "invalid-flag-value");
+    EXPECT_EQ(fieldString(C.request(R"({"cmd":"configure","jobs":2})"),
                           "code"),
-              "invalid-flag-value");
+              "unknown-command");
   }
   D.requestStop();
   D.wait();

@@ -57,12 +57,9 @@ public:
   Value widenNdet(const Value &, const Value &New) const { return New; }
   Value widenCall(const Value &, const Value &New) const { return New; }
   std::string toString(const Value &A) const { return std::to_string(A); }
-  /// Stateless over scalar doubles: safe from any thread.
-  static constexpr bool ThreadSafeInterpret = true;
 };
 
 static_assert(PreMarkovAlgebra<ReachDomain>);
-static_assert(threadSafeInterpret<ReachDomain>());
 
 double mainReach(const char *Source, SolverStats *StatsOut = nullptr) {
   auto Prog = lang::parseProgramOrDie(Source);
@@ -141,16 +138,16 @@ TEST(SolverTest, StatsAreReported) {
 
 TEST(SolverTest, MaxUpdatesSafetyValve) {
   // Exhausting the update budget must (a) report Converged = false under
-  // every scheduler, and (b) account honestly: a refused update hands its
-  // provisional increment back, so the reported NodeUpdates equals the
-  // budget exactly instead of overshooting by one refusal per retry.
+  // every scheduler, and (b) account honestly: a refused update is not
+  // counted, so the reported NodeUpdates equals the budget exactly instead
+  // of overshooting by one refusal per retry.
   auto Prog = lang::parseProgramOrDie(R"(
     proc main() { while prob(1/2) { skip; } }
   )");
   cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
   for (IterationStrategy Strategy :
        {IterationStrategy::WtoRecursive, IterationStrategy::RoundRobin,
-        IterationStrategy::Worklist, IterationStrategy::ParallelScc}) {
+        IterationStrategy::Worklist}) {
     ReachDomain Dom;
     SolverOptions Opts;
     Opts.Strategy = Strategy;
@@ -229,41 +226,53 @@ TEST(SolverTest, CountersAccumulateEachSolvesStats) {
   EXPECT_FALSE(statsText(Result.Stats).empty());
 }
 
+TEST(SolverTest, ColdSolveReportsNoWarmStartReuse) {
+  // Reuse counters describe a warm start; a cold solve reuses nothing,
+  // however many components its WTO has.
+  auto Prog = lang::parseProgramOrDie(R"(
+    real x0;
+    proc main() { while prob(1/2) { x0 := x0 + 1; } }
+  )");
+  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
+  domains::LeiaDomainT<poly::Polyhedron> Dom(*Prog);
+  const SolverStats S = solve(G, Dom).Stats;
+  ASSERT_TRUE(S.Converged);
+  EXPECT_GT(S.ComponentStabilizations, 0u);
+  EXPECT_EQ(S.NodesReused, 0u);
+  EXPECT_EQ(S.SccsSkipped, 0u);
+  EXPECT_EQ(S.SccsResolved, 0u);
+  EXPECT_NE(statsText(S).find("; warm start: nodes_reused=0 sccs_skipped=0 "
+                              "sccs_resolved=0\n"),
+            std::string::npos)
+      << statsText(S);
+}
+
 namespace {
 
-/// The keys a stats rendering names, split into the record's own fields
-/// and the per-worker ones (prefixed "worker.").
+/// The keys a stats rendering names.
 std::set<std::string> textKeys(const std::string &Text) {
   std::set<std::string> Keys;
-  std::istringstream Lines(Text);
-  for (std::string Line; std::getline(Lines, Line);) {
-    std::string Prefix = Line.rfind("; worker ", 0) == 0 ? "worker." : "";
-    std::istringstream Words(Line);
-    for (std::string Word; Words >> Word;)
-      if (size_t Eq = Word.find('='); Eq != std::string::npos)
-        Keys.insert(Prefix + Word.substr(0, Eq));
-  }
+  std::istringstream Words(Text);
+  for (std::string Word; Words >> Word;)
+    if (size_t Eq = Word.find('='); Eq != std::string::npos)
+      Keys.insert(Word.substr(0, Eq));
   return Keys;
 }
 
 std::set<std::string> jsonKeys(const std::string &Json) {
   std::set<std::string> Keys;
   const std::regex Key("\"([a-z0-9_]+)\": ");
-  const size_t Workers = Json.find("\"pool_workers\": [");
-  // The "pool_workers" array itself is the text's `; worker <i>:` lines.
   for (std::sregex_iterator It(Json.begin(), Json.end(), Key), End;
        It != End; ++It)
-    if (size_t(It->position()) != Workers)
-      Keys.insert((size_t(It->position()) > Workers ? "worker." : "") +
-                  (*It)[1].str());
+    Keys.insert((*It)[1].str());
   return Keys;
 }
 
 } // namespace
 
 TEST(SolverTest, TextAndJsonRenderTheSameFields) {
-  // Polyhedra under the parallel scheduler, so the numeric-layer and the
-  // pool counters are live, not zero placeholders.
+  // Polyhedra, so the numeric-layer counters are live, not zero
+  // placeholders.
   auto Prog = lang::parseProgramOrDie(R"(
     real x, y;
     proc main() {
@@ -272,48 +281,32 @@ TEST(SolverTest, TextAndJsonRenderTheSameFields) {
   )");
   cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
   domains::LeiaDomainT<poly::Polyhedron> Dom(*Prog);
-  SolverOptions Opts;
-  Opts.Strategy = IterationStrategy::ParallelScc;
-  Opts.Jobs = 2;
-  const SolverStats S = solve(G, Dom, Opts).Stats;
+  const SolverStats S = solve(G, Dom).Stats;
   ASSERT_TRUE(S.Converged);
-  ASSERT_EQ(S.PoolWorkers.size(), 2u);
   EXPECT_GT(S.Numeric.MinimizationCalls, 0u);
   EXPECT_GT(S.Numeric.ConversionCacheMisses, 0u);
-  uint64_t TasksRun = 0;
-  for (const auto &W : S.PoolWorkers)
-    TasksRun += W.TasksRun;
-  EXPECT_GT(TasksRun, 0u);
 
   const std::string Text = statsText(S), Json = statsJson(S);
   const std::set<std::string> Keys = textKeys(Text);
   EXPECT_EQ(Keys, jsonKeys(Json)) << Text << Json;
   // Every counter the CLI report, the pmafd reply or the bench records
-  // ever printed.
+  // print.
   for (const char *Old :
        {"converged", "node_updates", "value_changes", "widenings",
         "components_stabilized", "solve_seconds", "interpret_calls",
-        "interpret_cache_hits", "precompiled_transformers",
-        "precompile_seconds", "jobs_used", "max_parallel_sccs",
-        "pool_tasks_run", "pool_steals", "pool_affinity_hits",
-        "thread_busy_seconds", "chernikova_calls", "peak_generator_rows",
+        "interpret_cache_hits", "chernikova_calls", "peak_generator_rows",
         "conversion_cache_hits", "conversion_cache_misses", "shared_l2_hits",
-        "cache_evictions", "escalations", "max_pack_width",
-        "worker.tasks_run", "worker.steals", "worker.affinity_hits",
-        "worker.busy_seconds"})
+        "cache_evictions", "escalations", "max_pack_width", "nodes_reused",
+        "sccs_skipped", "sccs_resolved"})
     EXPECT_TRUE(Keys.count(Old)) << Old;
   // Both renderings carry the record's values.
   const std::string Updates = std::to_string(S.NodeUpdates);
   const std::string Calls = std::to_string(S.Numeric.MinimizationCalls);
-  const std::string Tasks = std::to_string(TasksRun);
   EXPECT_NE(Text.find(" node_updates=" + Updates + " "), std::string::npos);
   EXPECT_NE(Json.find("\"node_updates\": " + Updates + ","),
             std::string::npos);
   EXPECT_NE(Text.find(" chernikova_calls=" + Calls + " "), std::string::npos);
   EXPECT_NE(Json.find("\"chernikova_calls\": " + Calls + ","),
-            std::string::npos);
-  EXPECT_NE(Text.find(" pool_tasks_run=" + Tasks + " "), std::string::npos);
-  EXPECT_NE(Json.find("\"pool_tasks_run\": " + Tasks + ","),
             std::string::npos);
 }
 
@@ -353,67 +346,4 @@ TEST(SolverTest, UnreachableProcedureStillAnalyzed) {
               1e-9);
   EXPECT_NEAR(Result.Values[G.proc(Prog->findProc("main")).Entry], 1.0,
               1e-9);
-}
-
-TEST(SolverTest, ConcurrentPrecompileRacesLazyTransformer) {
-  // The per-slot once_flag contract: a parallel precompile racing ad-hoc
-  // transformer() calls still interprets each seq edge exactly once, and
-  // every requester observes the cached value.
-  auto Prog = lang::parseProgramOrDie(R"(
-    proc main() {
-      skip; skip; skip; skip;
-      while prob(1/2) { skip; skip; skip; skip; }
-      skip; skip; skip; skip;
-    }
-  )");
-  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
-  std::vector<unsigned> SeqEdges;
-  for (unsigned E = 0; E != G.edges().size(); ++E)
-    if (G.edges()[E].Ctrl.TheKind == cfg::ControlAction::Kind::Seq)
-      SeqEdges.push_back(E);
-  ASSERT_GE(SeqEdges.size(), 12u);
-
-  for (int Round = 0; Round != 16; ++Round) {
-    ReachDomain Dom;
-    CompiledProgram<ReachDomain> Compiled(G, Dom);
-    support::ThreadPool Pool(4);
-    // Precompilation fans out on the pool while this thread requests the
-    // same transformers lazily, in reverse order.
-    auto Precompiled =
-        Pool.submit([&] { return Compiled.precompile(&Pool); });
-    for (size_t I = SeqEdges.size(); I != 0; --I)
-      EXPECT_DOUBLE_EQ(Compiled.transformer(SeqEdges[I - 1]), 1.0);
-    EXPECT_EQ(Precompiled.get(), SeqEdges.size());
-    EXPECT_EQ(Compiled.interpretCalls(), SeqEdges.size())
-        << "each seq edge must be interpreted exactly once";
-    EXPECT_GE(Compiled.interpretCacheHits(), SeqEdges.size())
-        << "the lazy requests must all be served from the cache";
-  }
-}
-
-TEST(SolverTest, ParallelSolveReportsEngineStats) {
-  auto Prog = lang::parseProgramOrDie(R"(
-    proc helper() { if prob(1/2) { helper(); } }
-    proc main() { skip; helper(); while prob(1/3) { skip; } helper(); }
-  )");
-  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
-  ReachDomain Dom;
-
-  auto Sequential = solve(G, Dom);
-  ASSERT_TRUE(Sequential.Stats.Converged);
-  EXPECT_EQ(Sequential.Stats.JobsUsed, 1u);
-  EXPECT_EQ(Sequential.Stats.PrecompiledTransformers, 0u); // Lazy path.
-
-  SolverOptions Opts;
-  Opts.Strategy = IterationStrategy::ParallelScc;
-  Opts.Jobs = 4;
-  auto Parallel = solve(G, Dom, Opts);
-  ASSERT_TRUE(Parallel.Stats.Converged);
-  EXPECT_EQ(Parallel.Stats.JobsUsed, 4u);
-  EXPECT_GT(Parallel.Stats.PrecompiledTransformers, 0u);
-  EXPECT_GE(Parallel.Stats.PrecompileSeconds, 0.0);
-  ASSERT_EQ(Parallel.Values.size(), Sequential.Values.size());
-  for (unsigned V = 0; V != Sequential.Values.size(); ++V)
-    EXPECT_EQ(Parallel.Values[V], Sequential.Values[V])
-        << "parallel fixpoint must be bit-identical at node " << V;
 }

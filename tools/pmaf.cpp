@@ -4,10 +4,9 @@
 //
 //   pmaf <file.pp> [--domain=leia|bi|mdp|termination] [--decompose]
 //                  [--dot] [--stats] [--werror] [--diag-format=text|json]
-//                  [--strategy=wto|round-robin|worklist|parallel-scc]
+//                  [--strategy=wto|round-robin|worklist]
 //                  [--numeric=poly|ladder|zones|intervals]
-//                  [--widening-delay=<n>] [--max-updates=<n>] [--jobs=<n>]
-//                  [--affinity=on|off]
+//                  [--widening-delay=<n>] [--max-updates=<n>]
 //   pmaf check <file.pp>... [--domain=leia|bi|mdp|termination]
 //                  [--decompose] [--werror] [--diag-format=text|json]
 //   pmaf verify-corpus <dir|file.pp>... [--jobs=<n>] [--seed=<n>]
@@ -39,18 +38,10 @@
 // The solver knobs map onto core::SolverOptions: --strategy selects the
 // chaotic-iteration scheduler (core/Schedule.h), --widening-delay the
 // number of plain updates before widening kicks in, and --max-updates the
-// node-update budget. --jobs=<n> runs the parallel engine with n worker
-// threads (0 = one per hardware thread): transformers precompile
-// concurrently, the dense-matrix kernels block-parallelize,
-// and --strategy=parallel-scc stabilizes independent SCCs concurrently.
-// --affinity=on|off (default on) toggles SCC->worker pinning inside the
-// parallel scheduler: pinned work keeps the per-thread conversion memos
-// hot, and the pool steals it back only from a saturated owner; fixpoints
-// are identical either way.
+// node-update budget. Every solve runs on the calling thread.
 // --stats prints the solver options and then the solve's SolverStats in
 // the text rendering of core/Instrumentation.h: iteration, interpret-cache,
-// parallel-engine, numeric-layer and warm-start counters as key=value
-// lines, plus one line per pool worker.
+// numeric-layer and warm-start counters as key=value lines.
 //
 // Every solve is followed by the checker layer (checks/Checker.h): each
 // `assert_prob` / `assert_reward` / `assert_interval` statement is judged
@@ -59,15 +50,18 @@
 // assert-skipped). A violated assertion exits 1; --werror additionally
 // fails unproved and skipped assertions.
 //
-// `pmaf verify-corpus` fans a directory of programs across the shared
-// thread pool: per file it parses, lints, auto-detects the domain (real
-// variables -> leia, rewards -> mdp, else bi), solves sequentially, runs
-// the checker, and — for programs whose main starts with a planted
+// `pmaf verify-corpus` fans a directory of programs out over --jobs
+// threads plus the calling thread (support::parallelFor; at most
+// MaxCorpusJobs, 0 = one per hardware thread): per file it parses, lints, auto-detects the domain
+// (real variables -> leia, rewards -> mdp, else bi), solves, runs the
+// checker, and — for programs whose main starts with a planted
 // assertion — spot-checks the verdict against a Monte-Carlo estimate of
-// the ground truth (checks/Fuzz.h). Verdicts merge into one ChecksDb whose
-// JSON summary goes to --out or stdout; any parse failure or soundness
-// violation exits 1. `pmaf gen-corpus` writes such a corpus of random
-// programs with planted assertions (deterministic in --seed).
+// the ground truth (checks/Fuzz.h). Verdicts merge in file order into one
+// ChecksDb whose JSON summary goes to --out or stdout, the same bytes at
+// every --jobs; any parse failure or soundness violation exits 1.
+// `pmaf gen-corpus` writes such a corpus of random programs with planted
+// assertions (deterministic in --seed). --jobs is accepted only by
+// verify-corpus: every solve runs on one thread.
 //
 // Exit codes: 0 analysis converged; 1 lint/parse errors or failed checks;
 // 2 usage errors; 3 the update budget (--max-updates) ran out before the
@@ -90,7 +84,7 @@
 #include "lang/PosNegDecompose.h"
 #include "server/Daemon.h"
 #include "support/NumParse.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 
 // The corpus generator reuses the test suite's seeded program generators
 // so `gen-corpus` and the differential tests draw from one distribution.
@@ -104,11 +98,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -149,9 +143,11 @@ public:
   Value widenNdet(const Value &, const Value &New) const { return New; }
   Value widenCall(const Value &, const Value &New) const { return New; }
   std::string toString(const Value &A) const { return std::to_string(A); }
-  /// Stateless over scalar doubles: safe to run from any thread.
-  static constexpr bool ThreadSafeInterpret = true;
 };
+
+/// The most threads `verify-corpus --jobs` may ask for; larger values are
+/// rejected before any thread starts.
+constexpr unsigned MaxCorpusJobs = 1024;
 
 /// Strict parse of one numeric flag payload; on failure prints the
 /// structured diagnostic (stable code `invalid-flag-value`) and returns
@@ -188,10 +184,9 @@ int usage(const char *Argv0) {
                "usage: %s <file.pp | -> [--domain=leia|bi|mdp|termination]"
                " [--decompose] [--dot] [--stats] [--werror]"
                " [--diag-format=text|json]"
-               " [--strategy=wto|round-robin|worklist|parallel-scc]"
+               " [--strategy=wto|round-robin|worklist]"
                " [--numeric=poly|ladder|zones|intervals]"
-               " [--widening-delay=<n>] [--max-updates=<n>] [--jobs=<n>]"
-               " [--affinity=on|off]\n"
+               " [--widening-delay=<n>] [--max-updates=<n>]\n"
                "       %s check <file.pp>..."
                " [--domain=leia|bi|mdp|termination] [--decompose]"
                " [--werror] [--diag-format=text|json]\n"
@@ -200,8 +195,7 @@ int usage(const char *Argv0) {
                " [--out=<file>] [--werror]\n"
                "       %s gen-corpus <dir> [--count=<n>] [--seed=<n>]"
                " [--family=bi|mdp|leia|mixed]\n"
-               "       %s serve [--port=<n>] [--jobs=<n>]"
-               " [--affinity=on|off]\n",
+               "       %s serve [--port=<n>]\n",
                Argv0, Argv0, Argv0, Argv0, Argv0);
   return 2;
 }
@@ -212,9 +206,7 @@ struct CliSolverConfig {
   std::optional<IterationStrategy> Strategy;
   std::optional<unsigned> WideningDelay;
   std::optional<uint64_t> MaxUpdates;
-  std::optional<unsigned> Jobs;
   std::optional<NumericBackend> Numeric;
-  std::optional<bool> Affinity;
   bool Stats = false;
 
   void apply(SolverOptions &Opts) const {
@@ -224,12 +216,8 @@ struct CliSolverConfig {
       Opts.WideningDelay = *WideningDelay;
     if (MaxUpdates)
       Opts.MaxUpdates = *MaxUpdates;
-    if (Jobs)
-      Opts.Jobs = *Jobs;
     if (Numeric)
       Opts.Numeric = *Numeric;
-    if (Affinity)
-      Opts.Affinity = *Affinity;
   }
 
   /// Prints the options and stats (under --stats) and maps the solve
@@ -240,10 +228,10 @@ struct CliSolverConfig {
              const core::SolverStats &SolveStats) const {
     if (Stats)
       std::printf("; strategy: %s, widening delay %u, max updates %llu, "
-                  "jobs %u, numeric %s, affinity %s\n%s",
+                  "numeric %s\n%s",
                   core::toString(Opts.Strategy), Opts.WideningDelay,
-                  static_cast<unsigned long long>(Opts.MaxUpdates), Opts.Jobs,
-                  core::toString(Opts.Numeric), Opts.Affinity ? "on" : "off",
+                  static_cast<unsigned long long>(Opts.MaxUpdates),
+                  core::toString(Opts.Numeric),
                   core::statsText(SolveStats).c_str());
     if (SolveStats.Converged)
       return 0;
@@ -498,14 +486,11 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
 
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
   checks::CheckerOptions COpts;
-  // Per-file solves are sequential; verify-corpus parallelizes across
-  // files instead.
   if (Domain == "bi") {
     BoolStateSpace Space(*Prog);
     BiDomain Dom(Space);
     SolverOptions SOpts;
     SOpts.UseWidening = false;
-    SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
     auto Result = solve(Graph, Dom, SOpts);
     Out.Converged = Result.Stats.Converged;
@@ -516,7 +501,6 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
     MdpDomain Dom;
     SolverOptions SOpts;
     SOpts.WideningDelay = 10000;
-    SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
     auto Result = solve(Graph, Dom, SOpts);
     Out.Converged = Result.Stats.Converged;
@@ -530,7 +514,6 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
     // cost, and the checker verdict logic is backend-independent.
     LeiaDomainT<poly::Zones> Dom(*Prog);
     SolverOptions SOpts;
-    SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
     auto Result = solve(Graph, Dom, SOpts);
     Out.Converged = Result.Stats.Converged;
@@ -589,15 +572,15 @@ int runVerifyCorpus(const std::vector<std::string> &Paths,
     return 2;
   }
 
-  support::ThreadPool Pool(Opts.Jobs
-                               ? Opts.Jobs
-                               : support::ThreadPool::hardwareConcurrency());
-  std::mutex Mu;
-  checks::ChecksDb Global;
-  unsigned Failed = 0, NotConverged = 0;
-  std::vector<std::string> Violations, Failures;
-  Pool.parallelFor(size_t(0), Files.size(), [&](size_t I) {
-    CorpusFileOutcome Out;
+  // One result slot per file, merged in file order after the fan-out, so
+  // the report is the same bytes whatever the thread count.
+  std::vector<CorpusFileOutcome> Outcomes(Files.size());
+  // --jobs=N starts N threads and the calling thread verifies files too,
+  // the lane count of the pool this loop replaced.
+  const unsigned Threads =
+      Opts.Jobs ? Opts.Jobs : std::max(1u, std::thread::hardware_concurrency());
+  support::parallelFor(Threads + 1, Files.size(), [&](size_t I) {
+    CorpusFileOutcome &Out = Outcomes[I];
     try {
       Out = processCorpusFile(Files[I], Opts,
                               Opts.Seed + I * 0x9e3779b97f4a7c15ull);
@@ -606,7 +589,12 @@ int runVerifyCorpus(const std::vector<std::string> &Paths,
       Out.Error = std::string("exception: ") + E.what();
     }
     Out.Db.tagFile(Files[I]);
-    std::lock_guard<std::mutex> Lock(Mu);
+  });
+  checks::ChecksDb Global;
+  unsigned Failed = 0, NotConverged = 0;
+  std::vector<std::string> Violations, Failures;
+  for (size_t I = 0; I != Files.size(); ++I) {
+    const CorpusFileOutcome &Out = Outcomes[I];
     Global.merge(Out.Db);
     if (!Out.Ok) {
       ++Failed;
@@ -616,7 +604,7 @@ int runVerifyCorpus(const std::vector<std::string> &Paths,
       ++NotConverged;
     if (!Out.SoundnessViolation.empty())
       Violations.push_back(Files[I] + ": " + Out.SoundnessViolation);
-  });
+  }
 
   std::sort(Violations.begin(), Violations.end());
   std::sort(Failures.begin(), Failures.end());
@@ -743,6 +731,7 @@ int main(int argc, char **argv) {
   uint16_t Port = 0;
   std::string OutPath, Family = "mixed";
   CliSolverConfig Config;
+  std::optional<unsigned> CorpusJobs;
   for (int I = (CheckMode || CorpusMode || GenMode || ServeMode) ? 2 : 1;
        I < argc; ++I) {
     std::string Arg = argv[I];
@@ -791,20 +780,21 @@ int main(int argc, char **argv) {
       auto V = parseFlagUnsigned32("--jobs", Arg.substr(7));
       if (!V)
         return 2;
-      Config.Jobs = *V;
-    } else if (Arg.rfind("--affinity=", 0) == 0) {
-      std::string Mode = Arg.substr(11);
-      if (Mode == "on")
-        Config.Affinity = true;
-      else if (Mode == "off")
-        Config.Affinity = false;
-      else {
-        std::fprintf(stderr, "error: --affinity takes on|off, got %s\n",
-                     Mode.c_str());
-        return usage(argv[0]);
+      if (!CorpusMode) {
+        std::fprintf(stderr,
+                     "error: --jobs applies only to verify-corpus; every "
+                     "solve is sequential [invalid-flag-value]\n");
+        return 2;
       }
-    }
-    else if (Arg.rfind("--seed=", 0) == 0) {
+      if (*V > MaxCorpusJobs) {
+        std::fprintf(stderr,
+                     "error: --jobs value %u exceeds the limit of %u "
+                     "[invalid-flag-value]\n",
+                     *V, MaxCorpusJobs);
+        return 2;
+      }
+      CorpusJobs = *V;
+    } else if (Arg.rfind("--seed=", 0) == 0) {
       auto V = parseFlagUnsigned("--seed", Arg.substr(7));
       if (!V)
         return 2;
@@ -837,8 +827,10 @@ int main(int argc, char **argv) {
       if (Family != "bi" && Family != "mdp" && Family != "leia" &&
           Family != "mixed")
         return usage(argv[0]);
-    } else if (Arg[0] == '-' && Arg != "-")
+    } else if (Arg[0] == '-' && Arg != "-") {
+      std::fprintf(stderr, "error: unknown flag %s\n", Arg.c_str());
       return usage(argv[0]);
+    }
     else
       Paths.push_back(Arg);
   }
@@ -848,7 +840,7 @@ int main(int argc, char **argv) {
                     Decompose, Werror, Json);
   if (CorpusMode) {
     CorpusOptions COpts;
-    COpts.Jobs = Config.Jobs.value_or(4);
+    COpts.Jobs = CorpusJobs.value_or(4);
     COpts.Seed = Seed;
     COpts.Runs = Runs;
     if (Config.MaxUpdates)
@@ -867,25 +859,7 @@ int main(int argc, char **argv) {
     // protocol, handy when only the CLI is deployed.
     server::DaemonOptions DOpts;
     DOpts.Port = Port;
-    DOpts.Jobs = Config.Jobs.value_or(1);
-    if (Config.Affinity)
-      DOpts.Affinity = *Config.Affinity;
     return server::runDaemon(DOpts);
-  }
-
-  // --jobs also turns on the process-wide pool the dense-matrix kernels
-  // draw from (distinct from the solver's per-solve pool).
-  // setSharedParallelism resolves 0 to the hardware thread count itself.
-  // A refusal (tasks in flight — cannot happen this early in a fresh CLI
-  // process, but the call is shared with long-lived embedders) degrades
-  // to a structured warning rather than a silent wrong-sized pool.
-  if (Config.Jobs) {
-    std::string WhyRefused;
-    if (!support::setSharedParallelism(*Config.Jobs, &WhyRefused))
-      std::fprintf(stderr,
-                   "warning: --jobs=%u not applied to the shared pool: %s "
-                   "[pool-busy]\n",
-                   *Config.Jobs, WhyRefused.c_str());
   }
 
   if (Paths.size() != 1)

@@ -9,11 +9,12 @@
 /// serves the length-prefixed JSON protocol of server/Protocol.h;
 /// `pmaf serve` is the same daemon reached through the main CLI.
 ///
-///   pmafd [--port=N] [--jobs=N] [--no-affinity]
+///   pmafd [--port=N]
 ///
 /// --port=0 (the default) binds an ephemeral port; the chosen port is
 /// printed as "pmafd: listening on 127.0.0.1:PORT" once the daemon is
-/// ready, so scripts can parse it. Exit codes: 0 after a clean
+/// ready, so scripts can parse it. Every solve runs sequentially on its
+/// connection's thread. Exit codes: 0 after a clean
 /// `shutdown` request, 1 when the listener cannot start, 2 on bad usage.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,13 +33,9 @@ namespace {
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port=N] [--jobs=N] [--no-affinity]\n"
+               "usage: %s [--port=N]\n"
                "  --port=N       TCP port on 127.0.0.1 (0 = ephemeral; "
-               "default 0)\n"
-               "  --jobs=N       shared-pool width (0 = hardware threads; "
-               "default 1)\n"
-               "  --no-affinity  disable component->worker affinity for "
-               "solves\n",
+               "default 0)\n",
                Argv0);
   return 2;
 }
@@ -73,14 +70,6 @@ int main(int argc, char **argv) {
         return 2;
       }
       Opts.Port = static_cast<uint16_t>(*Port);
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      std::optional<uint64_t> Jobs =
-          parseFlagUnsigned("--jobs", Arg.substr(7));
-      if (!Jobs || *Jobs > 65536)
-        return 2;
-      Opts.Jobs = static_cast<unsigned>(*Jobs);
-    } else if (Arg == "--no-affinity") {
-      Opts.Affinity = false;
     } else if (Arg == "--help" || Arg == "-h") {
       usage(argv[0]);
       return 0;

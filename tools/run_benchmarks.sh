@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_solver.json (committed at the repo root) from the
 # benchmark binaries that support --json output: bench_bi, bench_leia,
-# bench_parallel_scaling, and bench_server_throughput (the SERVED family:
+# and bench_server_throughput (the SERVED family:
 # resident-session cold vs warm-after-edit solves plus sustained
 # 4-client throughput, with a hard >=50% transformer-reuse floor) — then
 # smoke-tests the checker pipeline with a gen-corpus / verify-corpus
 # round trip.
 #
 # Repetitions are fixed by the harness itself (bench/BenchUtil.h): each
-# analysis is timed over 5 runs with a 20% trimmed mean (3 runs for the
-# parallel-scaling matrix), so successive invocations of this script are
+# analysis is timed over 5 runs with a 20% trimmed mean, so successive invocations of this script are
 # comparable trajectory points. The google-benchmark timing loops the
 # binaries also register are skipped (--benchmark_filter matching nothing)
 # — the JSON records come from the table harness, not from gbench.
@@ -47,7 +46,7 @@ require_binary() {
   fi
 }
 
-BENCHES=(bench_bi bench_leia bench_parallel_scaling bench_server_throughput)
+BENCHES=(bench_bi bench_leia bench_server_throughput)
 
 for BENCH in "${BENCHES[@]}"; do
   BIN="$BUILD_DIR/bench/$BENCH"
